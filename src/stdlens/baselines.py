@@ -2,24 +2,19 @@
 
 Two stateless per-window decision rules: revoke the smaller spatial
 cluster, and spectral outlier removal by top singular-vector scores.
-Both are wrapped in the same engine-facing interface as the main
-defense.
+Both run in the same windowing shell as the main defense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
-from .forensics import (GradientContribution, cluster_2d,
-                        extract_class_gradient_block, flag_suspect_classes,
+from .forensics import (WindowedDefense, cluster_2d, flag_suspect_classes,
                         spatial_project)
 from .seeding import derive_seed
 
 __all__ = [
-    "SpectralScore",
     "defense_spatial_smaller_cluster",
     "defense_spectral_signature",
     "SpatialClusterDefense",
@@ -27,16 +22,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class SpectralScore:
-    client_id: int
-    round: int
-    score: float
-
-
 def defense_spatial_smaller_cluster(contributions_per_class: dict,
                                     separation_threshold: float = 2.0,
-                                    clustering: str = "kmeans",
                                     seed: int = 0) -> list[int]:
     """Revoke every client contributing to the smaller spatial cluster.
 
@@ -44,18 +31,15 @@ def defense_spatial_smaller_cluster(contributions_per_class: dict,
     that class this window.
     """
     revoked: set[int] = set()
-    projections = {}
-    for c, contribs in contributions_per_class.items():
-        if len(contribs) < 3:
-            continue
-        blocks = np.stack([g.block for g in contribs])
-        projections[c] = spatial_project(
-            blocks, client_ids=[g.client_id for g in contribs],
-            rounds=[g.round for g in contribs], class_id=c)
-    flagged = flag_suspect_classes(projections, separation_threshold, seed)
+    projections = {
+        c: spatial_project(np.stack([g.block for g in contribs]),
+                           client_ids=[g.client_id for g in contribs],
+                           rounds=[g.round for g in contribs], class_id=c)
+        for c, contribs in contributions_per_class.items() if len(contribs) >= 3}
+    flagged = flag_suspect_classes(projections, separation_threshold)
     for c in flagged:
         proj = projections[c]
-        labels = cluster_2d(proj.ssc, clustering, 2, derive_seed(seed, "spatial-bl", c))
+        labels = cluster_2d(proj.ssc, "kmeans", 2, derive_seed(seed, "spatial-bl", c))
         n0, n1 = int((labels == 0).sum()), int((labels == 1).sum())
         if n0 == n1:
             continue
@@ -93,64 +77,25 @@ def defense_spectral_signature(contributions_per_class: dict,
     return sorted(revoked)
 
 
-class _WindowedBaseline:
-    """Shared windowing shell for the stateless baselines."""
-
-    def __init__(self, num_classes: int, window: int):
-        self.num_classes = num_classes
-        self.window = window
-        self._current: dict[int, list[GradientContribution]] = {c: [] for c in range(num_classes)}
-        self._rounds_seen = 0
-        self._revoked: set[int] = set()
-
-    def observe_round(self, round_idx: int, updates):
-        contribs = []
-        for u in updates:
-            if u.client_id in self._revoked:
-                continue
-            for c in range(self.num_classes):
-                contribs.append(GradientContribution(
-                    u.client_id, u.round, c, extract_class_gradient_block(u.delta, c)))
-        return self.observe_contributions(round_idx, contribs)
-
-    def observe_contributions(self, round_idx: int, contributions):
-        for g in contributions:
-            if g.client_id not in self._revoked:
-                self._current[g.class_id].append(g)
-        self._rounds_seen += 1
-        if self._rounds_seen % self.window == 0:
-            window = self._current
-            self._current = {c: [] for c in range(self.num_classes)}
-            new = [cid for cid in self._decide(window) if cid not in self._revoked]
-            self._revoked |= set(new)
-            return sorted(new), []
-        return [], []
-
-    def _decide(self, window) -> list[int]:
-        raise NotImplementedError
-
-
-class SpatialClusterDefense(_WindowedBaseline):
+class SpatialClusterDefense(WindowedDefense):
     def __init__(self, num_classes: int, window: int,
-                 separation_threshold: float = 2.0, clustering: str = "kmeans",
-                 seed: int = 0):
+                 separation_threshold: float = 2.0, seed: int = 0):
         super().__init__(num_classes, window)
         self.separation_threshold = separation_threshold
-        self.clustering = clustering
         self.seed = seed
         self._windows = 0
 
     def _decide(self, window):
         self._windows += 1
         return defense_spatial_smaller_cluster(
-            window, self.separation_threshold, self.clustering,
-            derive_seed(self.seed, "spatial-window", self._windows))
+            window, self.separation_threshold,
+            derive_seed(self.seed, "spatial-window", self._windows)), []
 
 
-class SpectralSignatureDefense(_WindowedBaseline):
+class SpectralSignatureDefense(WindowedDefense):
     def __init__(self, num_classes: int, window: int, removal_fraction: float):
         super().__init__(num_classes, window)
         self.removal_fraction = removal_fraction
 
     def _decide(self, window):
-        return defense_spectral_signature(window, self.removal_fraction)
+        return defense_spectral_signature(window, self.removal_fraction), []

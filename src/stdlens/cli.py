@@ -10,16 +10,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .config import (AttackSpec, ConfigError, DefenseConfig, ExperimentConfig,
-                     load_config, validate_config)
-from .metrics import (build_defense, compare_defenses, comparison_table,
-                      comparison_to_csv, defense_metrics, run_experiment)
+from .config import ConfigError, ExperimentConfig, load_config, validate_config
+from .metrics import (_final_ap, _fmt, _with_defense, _with_seed, build_defense,
+                      compare_defenses, comparison_table, comparison_to_csv,
+                      run_experiment)
 from .replay import read_stream, replay_stream, stream_dump_hook
 from .robust import random_premise_mixture, separability_check, theorem1_premise_holds
 from .seeding import make_rng
@@ -31,11 +29,9 @@ def _load(config_path, seed, defense):
     try:
         cfg = load_config(config_path) if config_path else validate_config(ExperimentConfig())
         if seed is not None:
-            cfg = dataclasses.replace(
-                cfg, federation=dataclasses.replace(cfg.federation, master_seed=seed))
+            cfg = _with_seed(cfg, seed)
         if defense is not None:
-            cfg = dataclasses.replace(
-                cfg, defense=dataclasses.replace(cfg.defense, name=defense))
+            cfg = _with_defense(cfg, defense)
         return validate_config(cfg)
     except (ConfigError, OSError) as exc:
         raise click.ClickException(str(exc))
@@ -153,16 +149,12 @@ def attack_sweep(config_path, seed, out, defense, m_grid, beta_grid, gamma_grid,
                (("beta", b), ("gamma", g), ("onset_round", o)) if v is not None})
         sub = validate_config(dataclasses.replace(cfg, federation=fed, attack=atk))
         _, log, score = run_experiment(sub)
-        src = sub.attack.source_class
-        final_ap = next((rec.ap[src] for rec in reversed(log.records)
-                         if rec.ap.get(src) is not None), None)
         rows.append({
             "m": fed.malicious_fraction, "beta": atk.beta, "gamma": atk.gamma,
             "onset": atk.onset_round,
-            "final_ap_src": "n/a" if final_ap is None else f"{final_ap:.6f}",
-            "precision_at_max_recall": ("n/a" if score.precision_at_max_recall is None
-                                        else f"{score.precision_at_max_recall:.6f}"),
-            "max_recall": f"{score.max_recall:.6f}",
+            "final_ap_src": _fmt(_final_ap(log, sub.attack.source_class)),
+            "precision_at_max_recall": _fmt(score.precision_at_max_recall),
+            "max_recall": _fmt(score.max_recall),
             "time_to_purge": ("never" if score.time_to_purge is None
                               else score.time_to_purge),
         })

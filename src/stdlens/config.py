@@ -156,8 +156,6 @@ class AttackSpec:
 class DefenseConfig:
     name: str = "stdlens"
     separation_threshold: float = 2.0   # min 2-means separation score to flag a class
-    clustering: str = "kmeans"          # kmeans | agglomerative | spectral
-    dissim_space: str = "ssc"           # ssc | block (ablation switch)
     removal_fraction: Optional[float] = None  # spectral baseline budget; None = use m
     temporal_contrast: float = 0.5      # max suspicious/other mean-signature ratio
                                         # for direct revocation (else watchlist)
@@ -168,10 +166,6 @@ class DefenseConfig:
             v.append("temporal_contrast must be in (0,1]")
         if self.name not in DEFENSE_NAMES:
             v.append(f"defense name must be one of {DEFENSE_NAMES}")
-        if self.clustering not in ("kmeans", "agglomerative", "spectral"):
-            v.append("clustering must be kmeans, agglomerative or spectral")
-        if self.dissim_space not in ("ssc", "block"):
-            v.append("dissim_space must be 'ssc' or 'block'")
         if self.separation_threshold <= 0:
             v.append("separation_threshold must be positive")
         if self.removal_fraction is not None and not (0.0 < self.removal_fraction < 1.0):

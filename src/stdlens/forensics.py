@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.cluster.hierarchy
 import scipy.linalg
 
 from .config import CONFIDENCE_TO_Z
 from .detection import DetectorWeights
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed
 
 __all__ = [
     "GradientContribution",
@@ -33,13 +32,18 @@ __all__ = [
     "SigmaZones",
     "ClientDossier",
     "extract_class_gradient_block",
+    "update_contributions",
+    "covariance_top_eigh",
     "spatial_project",
     "flag_suspect_classes",
+    "two_means_1d",
     "kmeans",
     "cluster_2d",
     "temporal_signature",
     "identify_suspicious_cluster",
     "sigma_zone_partition",
+    "unit_norm",
+    "WindowedDefense",
     "StdLensDefense",
 ]
 
@@ -70,6 +74,13 @@ def extract_class_gradient_block(delta: DetectorWeights, class_id: int) -> np.nd
     ])
 
 
+def update_contributions(update, num_classes: int) -> list[GradientContribution]:
+    """One client update as per-class contributions, in class order."""
+    return [GradientContribution(update.client_id, update.round, c,
+                                 extract_class_gradient_block(update.delta, c))
+            for c in range(num_classes)]
+
+
 @dataclass
 class SpatialProjection:
     class_id: int
@@ -80,6 +91,16 @@ class SpatialProjection:
     eigenvectors: np.ndarray    # (2, dim) rows = v1, v2
     degenerate: bool = False
     assignments: Optional[np.ndarray] = None
+
+
+def covariance_top_eigh(samples: np.ndarray, k: int):
+    """(centered rows, sample covariance, top-k eigenvalues ascending,
+    eigenvector columns), unordered and unsigned as eigh returns them."""
+    centered = samples - samples.mean(axis=0)
+    cov = centered.T @ centered / (samples.shape[0] - 1)
+    d = cov.shape[0]
+    vals, vecs = scipy.linalg.eigh(cov, subset_by_index=[d - k, d - 1])
+    return centered, cov, vals, vecs
 
 
 def spatial_project(blocks: np.ndarray, client_ids=None, rounds=None,
@@ -96,9 +117,7 @@ def spatial_project(blocks: np.ndarray, client_ids=None, rounds=None,
         raise ValueError("need at least 3 contributions")
     if dim < 2:
         raise ValueError("block dimension must be >= 2")
-    centered = blocks - blocks.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    vals, vecs = scipy.linalg.eigh(cov, subset_by_index=[dim - 2, dim - 1])
+    centered, _, vals, vecs = covariance_top_eigh(blocks, 2)
     order = np.argsort(vals)[::-1]
     vals = np.maximum(vals[order], 0.0)
     vecs = vecs[:, order].T                       # rows v1, v2
@@ -119,9 +138,34 @@ def spatial_project(blocks: np.ndarray, client_ids=None, rounds=None,
         ssc=ssc, eigenvalues=vals, eigenvectors=vecs, degenerate=degenerate)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10,
-           max_iter: int = 100) -> np.ndarray:
-    """Lloyd's algorithm, best of `restarts` seeded inits by inertia."""
+def two_means_1d(values) -> np.ndarray:
+    """Exact 2-means of 1D values; label 0 is the lower cluster.
+
+    One scan over the split points of the sorted values (Wang & Song,
+    "Ckmeans.1d.dp", The R Journal 2011) keeps the split with the largest
+    between-cluster sum of squares n*S^2/(n_l*n_r), S the prefix sum of the
+    centered values: the least within-cluster sum of squares. Equal values
+    are never split, so labels follow any permutation of the input;
+    constant input is all 0.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    n = len(x)
+    if n < 2:
+        raise ValueError("need at least 2 points")
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    labels = np.zeros(n, dtype=int)
+    distinct = xs[1:] > xs[:-1]              # split i puts xs[:i] left
+    if distinct.any():
+        left = np.cumsum(xs - xs.mean())[:-1]
+        sizes = np.arange(1, n)
+        between = left * left / (sizes * (n - sizes))
+        labels[order[int(np.argmax(np.where(distinct, between, -np.inf))) + 1:]] = 1
+    return labels
+
+
+def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Lloyd's algorithm, best of 10 seeded inits by inertia."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < k:
         raise ValueError("need at least k points")
@@ -131,11 +175,11 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10,
         labels[:k - 1] = np.arange(1, k)
         return labels
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
+    for r in range(10):
         rng = np.random.default_rng(derive_seed(seed, "kmeans-restart", r))
         centers = pts[rng.choice(len(pts), size=k, replace=False)]
         labels = np.zeros(len(pts), dtype=int)
-        for _ in range(max_iter):
+        for _ in range(100):
             dist = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             new_labels = dist.argmin(axis=1)
             for c in range(k):
@@ -155,57 +199,43 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10,
 
 def cluster_2d(points: np.ndarray, algorithm: str = "kmeans", k: int = 2,
                seed: int = 0) -> np.ndarray:
-    """Partition 2D points into k nonempty clusters."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if len(pts) < k:
-        raise ValueError("need at least k points")
-    if algorithm == "kmeans" or np.allclose(pts, pts[0]):
-        return kmeans(pts, k, seed)
-    if algorithm == "agglomerative":
-        Z = scipy.cluster.hierarchy.linkage(pts, method="ward")
-        return scipy.cluster.hierarchy.fcluster(Z, t=k, criterion="maxclust") - 1
-    if algorithm == "spectral":
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        d = np.sqrt(d2)
-        bw = np.median(d[np.triu_indices(len(pts), k=1)])
-        bw = bw if bw > 0 else 1.0
-        W = np.exp(-d2 / (2.0 * bw * bw))
-        deg = W.sum(axis=1)
-        d_inv = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
-        L = np.eye(len(pts)) - d_inv[:, None] * W * d_inv[None, :]
-        vals, vecs = scipy.linalg.eigh(L)
-        embed = vecs[:, 1:k]                     # Fiedler embedding
-        return kmeans(embed, k, derive_seed(seed, "spectral-embed"))
-    raise ValueError(f"unknown clustering algorithm {algorithm!r}")
+    """Partition 2D points into k nonempty clusters with seeded k-means,
+    the only supported `algorithm`."""
+    if algorithm != "kmeans":
+        raise ValueError(f"unknown clustering algorithm {algorithm!r}")
+    return kmeans(points, k, seed)
 
 
-def flag_suspect_classes(projections: dict, separation_threshold: float = 2.0,
-                         seed: int = 0) -> set:
+def _separation(x: np.ndarray, labels: np.ndarray) -> float:
+    """|mu0 - mu1| / (sd0 + sd1 + eps) of a two-cluster labeling of x;
+    -1 when the labeling has a single cluster."""
+    groups = [x[labels == c] for c in sorted(set(labels.tolist()))]
+    if len(groups) < 2:
+        return -1.0
+    return (abs(groups[0].mean() - groups[1].mean())
+            / (groups[0].std() + groups[1].std() + 1e-12))
+
+
+def flag_suspect_classes(projections: dict, separation_threshold: float = 2.0) -> set:
     """Classes whose SSC1 projection splits into two separated clusters.
 
-    Separation score s = |mu0 - mu1| / (sd0 + sd1 + eps) from 2-means on
-    the SSC1 coordinates; flag iff s >= separation_threshold.
+    Separation score s = |mu0 - mu1| / (sd0 + sd1 + eps) of the exact
+    2-means split of the SSC1 coordinates; flag iff s >= separation_threshold.
     """
     flagged = set()
     for class_id, proj in projections.items():
         x = proj.ssc[:, 0]
         if len(x) < 3:
             continue
-        labels = kmeans(x[:, None], 2, derive_seed(seed, "flag", class_id))
-        mu = [x[labels == c].mean() for c in (0, 1)]
-        sd = [x[labels == c].std() for c in (0, 1)]
-        s = abs(mu[0] - mu[1]) / (sd[0] + sd[1] + 1e-12)
-        if s >= separation_threshold:
+        if _separation(x, two_means_1d(x)) >= separation_threshold:
             flagged.add(class_id)
     return flagged
 
 
-def temporal_signature(trajectory: np.ndarray, omega: int, dissim: str = "l1"):
-    """Windowed average pairwise dissimilarity of a trajectory.
+def temporal_signature(trajectory: np.ndarray, omega: int):
+    """Windowed average pairwise L1 dissimilarity of a trajectory.
 
-    sum_{j=omega+1..n} sum_{k=1..omega} D(G[j], G[j-k]) / (omega*n - omega^2)
+    sum_{j=omega+1..n} sum_{k=1..omega} |G[j] - G[j-k]|_1 / (omega*n - omega^2)
     with 1-based indexing; None when n <= omega (denominator would not be
     positive).
     """
@@ -215,16 +245,10 @@ def temporal_signature(trajectory: np.ndarray, omega: int, dissim: str = "l1"):
     n = traj.shape[0]
     if n <= omega:
         return None
-    if dissim == "l1":
-        dist = lambda a, b: np.abs(a - b).sum()
-    elif dissim == "l2":
-        dist = lambda a, b: np.sqrt(((a - b) ** 2).sum())
-    else:
-        raise ValueError(f"unknown dissimilarity {dissim!r}")
     total = 0.0
     for j in range(omega, n):                    # 0-based j = paper's j-1
         for k in range(1, omega + 1):
-            total += dist(traj[j], traj[j - k])
+            total += np.abs(traj[j] - traj[j - k]).sum()
     return total / (omega * n - omega * omega)
 
 
@@ -297,6 +321,24 @@ def sigma_zone_partition(values: np.ndarray, assignments: np.ndarray,
     return SigmaZones(z, means, stds, intervals, uncertain), labels
 
 
+def _population_radius(rest: np.ndarray, z: float):
+    """Center of `rest` and its confidence radius, mean + z*sd of the
+    distances to that center."""
+    center = rest.mean(axis=0)
+    dist = np.linalg.norm(rest - center, axis=1)
+    return center, dist.mean() + z * dist.std(ddof=1)
+
+
+def _near_exemplar(pts: np.ndarray, exemplars, center: np.ndarray,
+                   factor: float) -> np.ndarray:
+    """Per point: closer to some exemplar than `factor` times that
+    exemplar's distance to the population center."""
+    near = np.zeros(len(pts), dtype=bool)
+    for e in exemplars:
+        near |= np.linalg.norm(pts - e, axis=1) < factor * np.linalg.norm(e - center)
+    return near
+
+
 @dataclass
 class ClientDossier:
     client_id: int
@@ -306,7 +348,68 @@ class ClientDossier:
     signatures: dict = field(default_factory=dict)   # class_id -> last client-level value
 
 
-class StdLensDefense:
+def unit_norm(block: np.ndarray) -> np.ndarray:
+    """The block at unit L2 norm; zero and non-finite blocks stay as they
+    are. A finite block whose norm overflows is first divided by its
+    largest magnitude, so it keeps its direction instead of becoming 0."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(block))
+    if norm == np.inf and np.isfinite(block).all():
+        block = block / np.abs(block).max()
+        norm = float(np.linalg.norm(block))
+    if norm > 0:
+        block = block / norm
+    return block
+
+
+class WindowedDefense:
+    """Ingestion shell shared by every windowed defense: extracts per-class
+    blocks, drops revoked clients, buffers per class, counts rounds and
+    every `window` rounds hands the buffer to `_decide`, which returns
+    (clients to revoke, watchlist events). No client is revoked twice."""
+
+    def __init__(self, num_classes: int, window: int):
+        self.num_classes = num_classes
+        self.window = window
+        self.revoked: set[int] = set()
+        self._current: dict[int, list[GradientContribution]] = {
+            c: [] for c in range(num_classes)}
+        self._rounds_seen = 0
+
+    def observe_round(self, round_idx: int, updates) -> tuple[list[int], list[int]]:
+        """Engine hook: consume raw client updates for one round."""
+        contribs = [g for u in updates if u.client_id not in self.revoked
+                    for g in update_contributions(u, self.num_classes)]
+        return self.observe_contributions(round_idx, contribs)
+
+    def observe_contributions(self, round_idx: int, contributions
+                              ) -> tuple[list[int], list[int]]:
+        """Replay-mode hook: consume pre-extracted gradient contributions."""
+        for g in contributions:
+            if g.client_id not in self.revoked:
+                self._current[g.class_id].append(self._admit(g))
+        self._rounds_seen += 1
+        if self._rounds_seen % self.window == 0:
+            return self.window_step()
+        return [], []
+
+    def window_step(self) -> tuple[list[int], list[int]]:
+        """Close the window: decide on the buffered contributions."""
+        window = self._current
+        self._current = {c: [] for c in range(self.num_classes)}
+        revocations, watchlist_events = self._decide(window)
+        revocations = sorted(set(revocations) - self.revoked)
+        self.revoked.update(revocations)
+        return revocations, watchlist_events
+
+    def _admit(self, g: GradientContribution) -> GradientContribution:
+        return g
+
+    def _decide(self, window) -> tuple[list[int], list[int]]:
+        raise NotImplementedError
+
+
+class StdLensDefense(WindowedDefense):
     """Stateful three-tier defense driven once per FL round.
 
     Accumulates per-class gradient contributions over a forensic window;
@@ -318,83 +421,47 @@ class StdLensDefense:
 
     def __init__(self, num_classes: int, window: int, omega: int,
                  confidence: float, watchlist_threshold: int = 2,
-                 separation_threshold: float = 2.0, clustering: str = "kmeans",
-                 dissim_space: str = "ssc", normalize_blocks: bool = True,
+                 separation_threshold: float = 2.0, normalize_blocks: bool = True,
                  temporal_contrast: float = 0.5, seed: int = 0):
-        self.num_classes = num_classes
+        super().__init__(num_classes, window)
         self.normalize_blocks = normalize_blocks
-        self.window = window
         self.omega = omega
         self.confidence = confidence
         self.watchlist_threshold = watchlist_threshold
         self.separation_threshold = separation_threshold
         self.temporal_contrast = temporal_contrast
-        self.clustering = clustering
-        self.dissim_space = dissim_space
         self.seed = seed
         self.dossiers: dict[int, ClientDossier] = {}
         self.last_analysis: dict[int, dict] = {}   # class_id -> tier-2/3 diagnostics
         self._exemplars: dict[int, list] = {}      # class_id -> revoked block means
-        self._current: dict[int, list[GradientContribution]] = {c: [] for c in range(num_classes)}
-        self._carried: dict[int, list[GradientContribution]] = {c: [] for c in range(num_classes)}
-        self._rounds_seen = 0
+        self._carried = {c: [] for c in range(num_classes)}
         self._windows_run = 0
 
-    # -- ingestion ---------------------------------------------------------
-
-    def observe_round(self, round_idx: int, updates) -> tuple[list[int], list[int]]:
-        """Engine hook: consume raw client updates for one round."""
-        contribs = []
-        for u in updates:
-            for c in range(self.num_classes):
-                contribs.append(GradientContribution(
-                    u.client_id, u.round, c, extract_class_gradient_block(u.delta, c)))
-        return self.observe_contributions(round_idx, contribs)
-
-    def observe_contributions(self, round_idx: int, contributions
-                              ) -> tuple[list[int], list[int]]:
-        """Replay-mode hook: consume pre-extracted gradient contributions."""
-        for g in contributions:
-            dossier = self.dossiers.setdefault(g.client_id, ClientDossier(g.client_id))
-            if dossier.verdict == "revoked":
-                continue
-            if self.normalize_blocks:
-                # direction forensics: a replayed poison payload keeps its
-                # gradient direction even while the magnitude tracks the
-                # moving global model, so unit-norm blocks make temporal
-                # repetitiveness visible in any training phase
-                norm = float(np.linalg.norm(g.block))
-                if norm > 0:
-                    g = GradientContribution(g.client_id, g.round, g.class_id,
-                                             g.block / norm)
-            self._current[g.class_id].append(g)
-        self._rounds_seen += 1
-        if self._rounds_seen % self.window == 0:
-            return self.window_step()
-        return [], []
+    def _admit(self, g: GradientContribution) -> GradientContribution:
+        if not self.normalize_blocks:
+            return g
+        # direction forensics: a replayed poison payload keeps its gradient
+        # direction even while the magnitude tracks the moving global
+        # model, so unit-norm blocks make temporal repetitiveness visible
+        # in any training phase
+        return GradientContribution(g.client_id, g.round, g.class_id,
+                                    unit_norm(g.block))
 
     # -- the forensic window ----------------------------------------------
 
-    def window_step(self) -> tuple[list[int], list[int]]:
-        """Run the three-tier pipeline on the accumulated window."""
+    def _decide(self, window) -> tuple[list[int], list[int]]:
+        """Run the three-tier pipeline on the window plus carried classes."""
         self._windows_run += 1
         wseed = derive_seed(self.seed, "window", self._windows_run)
-        analysis = {c: self._carried[c] + self._current[c]
+        analysis = {c: self._carried[c] + window[c]
                     for c in range(self.num_classes)}
-        self._current = {c: [] for c in range(self.num_classes)}
 
-        projections = {}
-        for c, contribs in analysis.items():
-            if len(contribs) < 3:
-                continue
-            blocks = np.stack([g.block for g in contribs])
-            projections[c] = spatial_project(
-                blocks,
-                client_ids=[g.client_id for g in contribs],
-                rounds=[g.round for g in contribs],
-                class_id=c)
-
-        flagged = flag_suspect_classes(projections, self.separation_threshold, wseed)
+        projections = {
+            c: spatial_project(np.stack([g.block for g in contribs]),
+                               client_ids=[g.client_id for g in contribs],
+                               rounds=[g.round for g in contribs], class_id=c)
+            for c, contribs in analysis.items() if len(contribs) >= 3}
+        flagged = flag_suspect_classes(projections, self.separation_threshold)
 
         strikes, exemplar_matches = self._outlier_strikes(analysis)
         to_revoke: set[int] = set(exemplar_matches)
@@ -413,22 +480,17 @@ class StdLensDefense:
                 self._carried[c] = analysis[c]
 
         watchlist_events = []
-        for cid in sorted(uncertain_clients):
+        for cid in sorted(uncertain_clients - self.revoked):
             dossier = self.dossiers.setdefault(cid, ClientDossier(cid))
-            if dossier.verdict == "revoked":
-                continue
             dossier.watchlist_count += 1
             dossier.verdict = "watchlisted"
             watchlist_events.append(cid)
             if dossier.watchlist_count >= self.watchlist_threshold:
                 to_revoke.add(cid)
 
-        revocations = []
-        for cid in sorted(to_revoke):
-            dossier = self.dossiers.setdefault(cid, ClientDossier(cid))
-            if dossier.verdict != "revoked":
-                dossier.verdict = "revoked"
-                revocations.append(cid)
+        revocations = sorted(to_revoke - self.revoked)
+        for cid in revocations:
+            self.dossiers.setdefault(cid, ClientDossier(cid)).verdict = "revoked"
         if revocations:
             # an attacker's blocks in classes its poison does not touch look
             # honest; the outside-the-population-radius requirement inside
@@ -437,7 +499,7 @@ class StdLensDefense:
             self._record_exemplars(analysis, revocations)
         return revocations, watchlist_events
 
-    def _outlier_strikes(self, analysis) -> set[int]:
+    def _outlier_strikes(self, analysis) -> tuple[set[int], set[int]]:
         """Per-window scrutiny of individual clients against confirmed
         poison directions.
 
@@ -471,21 +533,12 @@ class StdLensDefense:
                 rest = blocks[~mine & ~on_list]
                 if len(rest) < 3:
                     continue
-                center = rest.mean(axis=0)
-                rest_d = np.linalg.norm(rest - center, axis=1)
-                radius = rest_d.mean() + z * rest_d.std(ddof=1)
+                center, radius = _population_radius(rest, z)
                 pts = blocks[mine]
-                center_d = np.linalg.norm(pts - center, axis=1)
-                near_exemplar = np.zeros(len(pts), dtype=bool)
-                on_exemplar = np.zeros(len(pts), dtype=bool)
-                for e in exemplars:
-                    d_e = np.linalg.norm(pts - e, axis=1)
-                    e_c = np.linalg.norm(e - center)
-                    near_exemplar |= d_e < 0.9 * e_c
-                    on_exemplar |= d_e < 0.75 * e_c
-                if ((center_d > radius) & on_exemplar).all():
+                outside = np.linalg.norm(pts - center, axis=1) > radius
+                if (outside & _near_exemplar(pts, exemplars, center, 0.75)).all():
                     instant.add(cid)
-                elif ((center_d > radius) & near_exemplar).all():
+                elif (outside & _near_exemplar(pts, exemplars, center, 0.9)).all():
                     strikes.add(cid)
         return strikes, instant
 
@@ -529,9 +582,7 @@ class StdLensDefense:
             rest = blocks[~rev_mask]
             if len(rest) < 3:
                 continue
-            center = rest.mean(axis=0)
-            rest_d = np.linalg.norm(rest - center, axis=1)
-            radius = rest_d.mean() + z * rest_d.std(ddof=1)
+            center, radius = _population_radius(rest, z)
             for cid in revoked:
                 pts = blocks[ids == cid]
                 if not len(pts):
@@ -547,21 +598,13 @@ class StdLensDefense:
         """
         x = proj.ssc[:, 0]
 
-        def ssc1_separation(lab):
-            groups = [x[lab == c] for c in sorted(set(lab.tolist()))]
-            if len(groups) < 2:
-                return -1.0
-            return (abs(groups[0].mean() - groups[1].mean())
-                    / (groups[0].std() + groups[1].std() + 1e-12))
-
         # a handful of attackers among many honest clients can be invisible
         # to 2D inertia yet obvious on SSC1 alone, so keep whichever
         # labeling separates SSC1 better
-        labels = cluster_2d(proj.ssc, self.clustering, 2,
+        labels = cluster_2d(proj.ssc, "kmeans", 2,
                             derive_seed(wseed, "cluster", proj.class_id))
-        labels_1d = kmeans(x[:, None], 2, derive_seed(wseed, "cluster-ssc1",
-                                                      proj.class_id))
-        sep, sep_1d = ssc1_separation(labels), ssc1_separation(labels_1d)
+        labels_1d = two_means_1d(x)
+        sep, sep_1d = _separation(x, labels), _separation(x, labels_1d)
         if sep_1d > sep:
             labels, sep = labels_1d, sep_1d
         proj.assignments = labels
@@ -574,9 +617,7 @@ class StdLensDefense:
         traj: dict[int, dict[int, list]] = {c: {} for c in clusters}
         for i in order:
             cid = int(proj.client_ids[i])
-            point = (proj.ssc[i] if self.dissim_space == "ssc"
-                     else contribs[i].block)
-            traj[labels[i]].setdefault(cid, []).append(point)
+            traj[labels[i]].setdefault(cid, []).append(proj.ssc[i])
 
         sigs = {c: {cid: temporal_signature(np.array(t), self.omega)
                     for cid, t in traj[c].items()}
@@ -586,16 +627,12 @@ class StdLensDefense:
         if suspicious is None:
             return False, set(), set()
 
-        spatial_zones, point_labels = sigma_zone_partition(
-            proj.ssc[:, 0], labels, self.confidence)
-        mean_sig = {
-            c: (float(np.mean([v for v in sigs[c].values() if v is not None]))
-                if any(v is not None for v in sigs[c].values()) else None)
-            for c in clusters}
+        _, point_labels = sigma_zone_partition(x, labels, self.confidence)
+        # a decided suspicious cluster means both clusters have a signature
+        mean_sig = {c: float(np.mean([v for v in sigs[c].values() if v is not None]))
+                    for c in clusters}
         other = next(c for c in clusters if c != suspicious)
-        strong_contrast = (mean_sig[suspicious] is not None
-                           and mean_sig[other] is not None
-                           and mean_sig[suspicious]
+        strong_contrast = (mean_sig[suspicious]
                            <= self.temporal_contrast * mean_sig[other])
         diag = self.last_analysis.setdefault(proj.class_id, {})
         diag.update(window=self._windows_run, separation=sep, sizes=sizes,
@@ -621,9 +658,8 @@ class StdLensDefense:
         sig_clients = sorted(client_sig)
         if len(sig_clients) >= 4 and len(set(client_sig.values())) >= 2:
             vals = np.array([client_sig[cid] for cid in sig_clients])
-            t_labels = kmeans(vals[:, None], 2,
-                              derive_seed(wseed, "temporal-zones", proj.class_id))
-            _, t_zone_labels = sigma_zone_partition(vals, t_labels, self.confidence)
+            _, t_zone_labels = sigma_zone_partition(vals, two_means_1d(vals),
+                                                    self.confidence)
             temporal_uncertain = {cid for cid, lab in zip(sig_clients, t_zone_labels)
                                   if lab == "uncertain"}
 
@@ -637,23 +673,13 @@ class StdLensDefense:
                 ok = client_points_ok.get(cid, True) and lab != "uncertain"
                 client_points_ok[cid] = ok
 
-        revoked = set()
-        for cid, cl in client_cluster.items():
-            if cl != suspicious:
-                continue
-            if not client_points_ok.get(cid, False):
-                continue
-            if cid in temporal_uncertain:
-                continue
-            revoked.add(cid)
-
         # the cluster-level contrast can hide one honest client whose own
         # trajectory is no more repetitive than the benign cluster's
         # average; cluster membership alone is not enough evidence there
-        if mean_sig[other] is not None:
-            revoked = {cid for cid in revoked
-                       if client_sig[cid]
-                       <= self.temporal_contrast * mean_sig[other]}
+        revoked = {cid for cid, cl in client_cluster.items()
+                   if cl == suspicious and client_points_ok.get(cid, False)
+                   and cid not in temporal_uncertain
+                   and client_sig[cid] <= self.temporal_contrast * mean_sig[other]}
 
         # weak-evidence paths below only make sense when the suspicious
         # cluster is the minority: attackers are < half the population, so
@@ -663,11 +689,9 @@ class StdLensDefense:
         # clients sitting confidently in the suspicious cluster whose
         # trajectory is too short for a temporal signature: not enough
         # evidence to revoke, enough to watchlist
-        no_signature_suspects = set()
-        if minority_suspect:
-            no_signature_suspects = {
-                cid for cid, ok in client_points_ok.items()
-                if ok and cid not in client_cluster}
+        no_signature_suspects = ({cid for cid, ok in client_points_ok.items()
+                                  if ok and cid not in client_cluster}
+                                 if minority_suspect else set())
         uncertain = spatially_uncertain | temporal_uncertain | no_signature_suspects
         if not strong_contrast:
             # a replayed poison is much more repetitive than honest
@@ -684,13 +708,8 @@ class StdLensDefense:
             blocks = np.stack([g.block for g in contribs])
             ids = np.array([g.client_id for g in contribs])
             center = blocks[labels != suspicious].mean(axis=0)
-            thresholds = [0.9 * np.linalg.norm(e - center) for e in exemplars]
             for cid in sorted(revoked):
-                pts = blocks[ids == cid]
-                near = np.zeros(len(pts), dtype=bool)
-                for e, t in zip(exemplars, thresholds):
-                    near |= np.linalg.norm(pts - e, axis=1) < t
-                if not near.all():
+                if not _near_exemplar(blocks[ids == cid], exemplars, center, 0.9).all():
                     # failing to match any confirmed poison direction is
                     # evidence in the client's favor: no revocation and no
                     # watchlist strike from this class

@@ -87,13 +87,11 @@ def build_defense(config: ExperimentConfig, seed: int):
             omega=fed.temporal_window, confidence=fed.confidence_level,
             watchlist_threshold=fed.watchlist_threshold,
             separation_threshold=d.separation_threshold,
-            clustering=d.clustering, dissim_space=d.dissim_space,
             temporal_contrast=d.temporal_contrast, seed=seed)
     if d.name == "spatial":
         return SpatialClusterDefense(
             num_classes=task.num_classes, window=fed.forensic_window,
-            separation_threshold=d.separation_threshold,
-            clustering=d.clustering, seed=seed)
+            separation_threshold=d.separation_threshold, seed=seed)
     if d.name == "spectral":
         frac = d.removal_fraction
         if frac is None:
@@ -134,10 +132,9 @@ def _with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
 
 
 def _final_ap(log, class_id: int):
-    for rec in reversed(log.records):
-        if class_id in rec.ap and rec.ap[class_id] is not None:
-            return rec.ap[class_id]
-    return None
+    """AP of `class_id` at the last round that evaluated it, or None."""
+    return next((rec.ap[class_id] for rec in reversed(log.records)
+                 if rec.ap.get(class_id) is not None), None)
 
 
 def compare_defenses(config: ExperimentConfig, defense_names, seeds,

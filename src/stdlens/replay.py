@@ -11,25 +11,28 @@ import json
 
 import numpy as np
 
-from .forensics import GradientContribution
+from .forensics import GradientContribution, update_contributions
 
 __all__ = ["stream_dump_hook", "write_contributions", "read_stream", "replay_stream"]
 
 
+def _write_records(fh, contributions) -> None:
+    """The one record format: a sorted-key JSON line per contribution."""
+    for g in contributions:
+        fh.write(json.dumps({
+            "round": int(g.round), "client_id": int(g.client_id),
+            "class_id": int(g.class_id),
+            "block": [float(v) for v in g.block],
+        }, sort_keys=True) + "\n")
+
+
 def stream_dump_hook(path, num_classes: int):
     """An engine stream_hook that appends per-class contribution records."""
-    from .forensics import extract_class_gradient_block
-
     fh = open(path, "w")
 
     def hook(round_idx, updates):
-        for u in updates:
-            for c in range(num_classes):
-                block = extract_class_gradient_block(u.delta, c)
-                fh.write(json.dumps({
-                    "round": round_idx, "client_id": u.client_id, "class_id": c,
-                    "block": [float(v) for v in block],
-                }, sort_keys=True) + "\n")
+        _write_records(fh, (g for u in updates
+                            for g in update_contributions(u, num_classes)))
         fh.flush()
 
     hook.close = fh.close
@@ -40,12 +43,7 @@ def write_contributions(path, stream) -> None:
     """Serialize a per-round contribution stream (list of lists)."""
     with open(path, "w") as fh:
         for round_contribs in stream:
-            for g in round_contribs:
-                fh.write(json.dumps({
-                    "round": int(g.round), "client_id": int(g.client_id),
-                    "class_id": int(g.class_id),
-                    "block": [float(v) for v in g.block],
-                }, sort_keys=True) + "\n")
+            _write_records(fh, round_contribs)
 
 
 def read_stream(path):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .forensics import GradientContribution
+from .forensics import GradientContribution, covariance_top_eigh
 from .seeding import make_rng
 
 __all__ = [
@@ -81,14 +81,9 @@ def top_eigenpair(samples: np.ndarray):
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    centered = samples - samples.mean(axis=0)
-    cov = centered.T @ centered / (samples.shape[0] - 1)
-    d = cov.shape[0]
+    _, cov, vals, vecs = covariance_top_eigh(samples, 1)
     if np.allclose(cov, 0.0):
-        v = np.zeros(d)
-        v[0] = 1.0
-        return v, 0.0
-    vals, vecs = scipy.linalg.eigh(cov, subset_by_index=[d - 1, d - 1])
+        return np.eye(cov.shape[0])[0], 0.0
     v = vecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v

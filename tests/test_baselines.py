@@ -6,7 +6,7 @@ import pytest
 from stdlens.baselines import (SpatialClusterDefense, SpectralSignatureDefense,
                                defense_spatial_smaller_cluster,
                                defense_spectral_signature)
-from stdlens.forensics import GradientContribution
+from stdlens.forensics import GradientContribution, StdLensDefense
 from stdlens.seeding import make_rng
 
 
@@ -50,31 +50,37 @@ def test_spectral_rejects_bad_fraction():
         defense_spectral_signature({}, removal_fraction=1.0)
 
 
+def _stdlens(window):
+    return StdLensDefense(num_classes=1, window=window, omega=1, confidence=0.99,
+                          normalize_blocks=False)
+
+
 def test_windowed_wrappers_fire_only_at_boundaries():
-    rng = make_rng(3, "bl")
-    d = SpectralSignatureDefense(num_classes=1, window=5, removal_fraction=0.2)
     payload = np.full(6, 20.0)
-    for r in range(5):
-        contribs = [GradientContribution(cid, r, 0, rng.standard_normal(6))
-                    for cid in range(10)]
-        contribs.append(GradientContribution(99, r, 0, payload))
-        revoked, _ = d.observe_contributions(r, contribs)
-        if r < 4:
-            assert revoked == []
-        else:
-            assert 99 in revoked
+    for d in (SpectralSignatureDefense(num_classes=1, window=5, removal_fraction=0.2),
+              _stdlens(window=5)):
+        rng = make_rng(3, "bl")
+        for r in range(5):
+            contribs = [GradientContribution(cid, r, 0, rng.standard_normal(6))
+                        for cid in range(10)]
+            contribs.append(GradientContribution(99, r, 0, payload))
+            revoked, _ = d.observe_contributions(r, contribs)
+            if r < 4:
+                assert revoked == []
+            else:
+                assert 99 in revoked
 
 
 def test_spatial_wrapper_ignores_revoked_clients():
-    rng = make_rng(4, "bl")
-    d = SpatialClusterDefense(num_classes=1, window=5)
     payload = np.full(6, 20.0)
-    revoked_total = []
-    for r in range(15):
-        contribs = [GradientContribution(cid, r, 0, rng.standard_normal(6))
-                    for cid in range(10)]
-        contribs.append(GradientContribution(99, r, 0,
-                                             payload + 0.01 * rng.standard_normal(6)))
-        revoked, _ = d.observe_contributions(r, contribs)
-        revoked_total += revoked
-    assert revoked_total.count(99) <= 1
+    for d in (SpatialClusterDefense(num_classes=1, window=5), _stdlens(window=5)):
+        rng = make_rng(4, "bl")
+        revoked_total = []
+        for r in range(15):
+            contribs = [GradientContribution(cid, r, 0, rng.standard_normal(6))
+                        for cid in range(10)]
+            contribs.append(GradientContribution(99, r, 0,
+                                                 payload + 0.01 * rng.standard_normal(6)))
+            revoked, _ = d.observe_contributions(r, contribs)
+            revoked_total += revoked
+        assert revoked_total.count(99) <= 1

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from stdlens.cli import main
+from stdlens.replay import read_stream, write_contributions
 
 TINY_YAML = """\
 federation:
@@ -124,3 +125,12 @@ def test_stream_dump_and_replay(tiny_yaml, tmp_path):
             "--out", str(rep))
     verdicts = json.loads((rep / "verdicts.json").read_text())
     assert set(verdicts) == {"revocations", "verdicts"}
+
+
+def test_dumped_stream_round_trips_byte_for_byte(tiny_yaml, tmp_path):
+    out = tmp_path / "run"
+    _invoke("run", "--config", tiny_yaml, "--out", str(out), "--dump-stream")
+    dumped = out / "gradient_stream.jsonl"
+    rewritten = tmp_path / "rewritten.jsonl"
+    write_contributions(rewritten, read_stream(dumped))
+    assert rewritten.read_bytes() == dumped.read_bytes()

@@ -143,3 +143,11 @@ def test_configs_are_immutable():
     cfg = ExperimentConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.federation.rounds = 5
+
+
+def test_removed_defense_keys_are_unknown(tmp_path):
+    for key, value in (("clustering", "kmeans"), ("dissim_space", "ssc")):
+        path = tmp_path / f"{key}.yaml"
+        path.write_text(f"defense:\n  {key}: {value}\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)

@@ -1,5 +1,7 @@
 """Property-based invariants (hypothesis)."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from stdlens.attacks import poison_class, poison_objn
 from stdlens.detection import ClientDataset, DetectorWeights, iou
 from stdlens.engine import ClientUpdate, fedavg_aggregate
-from stdlens.forensics import temporal_signature
+from stdlens.forensics import temporal_signature, two_means_1d
 from stdlens.seeding import derive_seed
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -44,6 +46,24 @@ def test_temporal_signature_positively_homogeneous(traj, omega, scale):
 def test_temporal_signature_nonnegative(traj, omega):
     v = temporal_signature(traj, omega)
     assert v is None or v >= 0.0
+
+
+def _inertia(x, labels):
+    return sum(((x[labels == c] - x[labels == c].mean()) ** 2).sum()
+               for c in set(labels.tolist()))
+
+
+@given(arrays(np.float64, st.integers(2, 9),
+              elements=st.floats(-1e3, 1e3, allow_nan=False)), st.data())
+def test_two_means_1d_exact_and_permutation_equivariant(x, data):
+    labels = two_means_1d(x)
+    n = len(x)
+    brute = min(_inertia(x, np.array((0,) + split))
+                for split in itertools.product((0, 1), repeat=n - 1) if any(split))
+    scale = 1.0 + ((x - x.mean()) ** 2).sum()
+    assert _inertia(x, labels) <= brute + 1e-9 * scale
+    perm = np.array(data.draw(st.permutations(range(n))))
+    assert np.array_equal(two_means_1d(x[perm]), labels[perm])
 
 
 _boxes = st.tuples(st.floats(0, 1), st.floats(0, 1),
