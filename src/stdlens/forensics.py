@@ -12,11 +12,18 @@ Three-tier pipeline run at every forensic window boundary:
    cluster on the first spatial component and on the temporal scores;
    points between the two intervals are uncertain and only feed a
    watchlist instead of triggering immediate revocation.
+
+Five local decision paths ride on the tiers. Removing any one of them
+fails an acceptance criterion or drops it to its floor:
+- exemplar-instant revocation (criterion 8, delayed onset);
+- temporal strikes (criterion 7, bbox; criterion 8, dilution gamma);
+- no-signature watchlist (criterion 8, delayed onset);
+- exemplar veto and contrast gate (criteria 7 and 8, skip rate beta).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -90,7 +97,6 @@ class SpatialProjection:
     eigenvalues: np.ndarray     # (2,) descending
     eigenvectors: np.ndarray    # (2, dim) rows = v1, v2
     degenerate: bool = False
-    assignments: Optional[np.ndarray] = None
 
 
 def covariance_top_eigh(samples: np.ndarray, k: int):
@@ -206,16 +212,6 @@ def cluster_2d(points: np.ndarray, algorithm: str = "kmeans", k: int = 2,
     return kmeans(points, k, seed)
 
 
-def _separation(x: np.ndarray, labels: np.ndarray) -> float:
-    """|mu0 - mu1| / (sd0 + sd1 + eps) of a two-cluster labeling of x;
-    -1 when the labeling has a single cluster."""
-    groups = [x[labels == c] for c in sorted(set(labels.tolist()))]
-    if len(groups) < 2:
-        return -1.0
-    return (abs(groups[0].mean() - groups[1].mean())
-            / (groups[0].std() + groups[1].std() + 1e-12))
-
-
 def flag_suspect_classes(projections: dict, separation_threshold: float = 2.0) -> set:
     """Classes whose SSC1 projection splits into two separated clusters.
 
@@ -227,7 +223,10 @@ def flag_suspect_classes(projections: dict, separation_threshold: float = 2.0) -
         x = proj.ssc[:, 0]
         if len(x) < 3:
             continue
-        if _separation(x, two_means_1d(x)) >= separation_threshold:
+        labels = two_means_1d(x)
+        lo, hi = x[labels == 0], x[labels == 1]
+        if len(hi) and (abs(lo.mean() - hi.mean()) / (lo.std() + hi.std() + 1e-12)
+                        >= separation_threshold):
             flagged.add(class_id)
     return flagged
 
@@ -344,17 +343,15 @@ class ClientDossier:
     client_id: int
     watchlist_count: int = 0
     verdict: str = "active"              # active | watchlisted | revoked
-    last_signature: Optional[float] = None
-    signatures: dict = field(default_factory=dict)   # class_id -> last client-level value
 
 
 def unit_norm(block: np.ndarray) -> np.ndarray:
     """The block at unit L2 norm; zero and non-finite blocks stay as they
-    are. A finite block whose norm overflows is first divided by its
-    largest magnitude, so it keeps its direction instead of becoming 0."""
+    are. A finite nonzero block whose norm overflows or underflows is first
+    divided by its largest magnitude, so it keeps its direction."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(block))
-    if norm == np.inf and np.isfinite(block).all():
+    if norm in (0.0, np.inf) and np.isfinite(block).all() and block.any():
         block = block / np.abs(block).max()
         norm = float(np.linalg.norm(block))
     if norm > 0:
@@ -364,7 +361,8 @@ def unit_norm(block: np.ndarray) -> np.ndarray:
 
 class WindowedDefense:
     """Ingestion shell shared by every windowed defense: extracts per-class
-    blocks, drops revoked clients, buffers per class, counts rounds and
+    blocks, drops revoked clients and malformed contributions (non-finite
+    block, class id out of range), buffers per class, counts rounds and
     every `window` rounds hands the buffer to `_decide`, which returns
     (clients to revoke, watchlist events). No client is revoked twice."""
 
@@ -386,7 +384,9 @@ class WindowedDefense:
                               ) -> tuple[list[int], list[int]]:
         """Replay-mode hook: consume pre-extracted gradient contributions."""
         for g in contributions:
-            if g.client_id not in self.revoked:
+            if (g.client_id not in self.revoked
+                    and 0 <= g.class_id < self.num_classes
+                    and np.isfinite(g.block).all()):
                 self._current[g.class_id].append(self._admit(g))
         self._rounds_seen += 1
         if self._rounds_seen % self.window == 0:
@@ -414,9 +414,8 @@ class StdLensDefense(WindowedDefense):
 
     Accumulates per-class gradient contributions over a forensic window;
     at each window boundary runs the full pipeline and returns clients to
-    revoke. Windows where a flagged class cannot be decided (a cluster
-    without any defined temporal signature) carry their contributions
-    forward into the next window.
+    revoke. `seed` is accepted and unused: the defense draws no random
+    numbers.
     """
 
     def __init__(self, num_classes: int, window: int, omega: int,
@@ -430,12 +429,8 @@ class StdLensDefense(WindowedDefense):
         self.watchlist_threshold = watchlist_threshold
         self.separation_threshold = separation_threshold
         self.temporal_contrast = temporal_contrast
-        self.seed = seed
         self.dossiers: dict[int, ClientDossier] = {}
-        self.last_analysis: dict[int, dict] = {}   # class_id -> tier-2/3 diagnostics
         self._exemplars: dict[int, list] = {}      # class_id -> revoked block means
-        self._carried = {c: [] for c in range(num_classes)}
-        self._windows_run = 0
 
     def _admit(self, g: GradientContribution) -> GradientContribution:
         if not self.normalize_blocks:
@@ -450,34 +445,20 @@ class StdLensDefense(WindowedDefense):
     # -- the forensic window ----------------------------------------------
 
     def _decide(self, window) -> tuple[list[int], list[int]]:
-        """Run the three-tier pipeline on the window plus carried classes."""
-        self._windows_run += 1
-        wseed = derive_seed(self.seed, "window", self._windows_run)
-        analysis = {c: self._carried[c] + window[c]
-                    for c in range(self.num_classes)}
-
+        """Run the three-tier pipeline on the window."""
         projections = {
             c: spatial_project(np.stack([g.block for g in contribs]),
                                client_ids=[g.client_id for g in contribs],
                                rounds=[g.round for g in contribs], class_id=c)
-            for c, contribs in analysis.items() if len(contribs) >= 3}
+            for c, contribs in window.items() if len(contribs) >= 3}
         flagged = flag_suspect_classes(projections, self.separation_threshold)
 
-        strikes, exemplar_matches = self._outlier_strikes(analysis)
-        to_revoke: set[int] = set(exemplar_matches)
-        uncertain_clients: set[int] = strikes | self._temporal_strikes(analysis)
-        for c in range(self.num_classes):
-            if c not in flagged:
-                self._carried[c] = []
-                continue
-            decided, revoked_c, uncertain_c = self._analyze_class(
-                projections[c], analysis[c], wseed)
-            if decided:
-                self._carried[c] = []
-                to_revoke |= revoked_c
-                uncertain_clients |= uncertain_c
-            else:
-                self._carried[c] = analysis[c]
+        to_revoke: set[int] = self._exemplar_matches(window)
+        uncertain_clients: set[int] = self._temporal_strikes(window)
+        for c in sorted(flagged):
+            revoked_c, uncertain_c = self._analyze_class(projections[c], window[c])
+            to_revoke |= revoked_c
+            uncertain_clients |= uncertain_c
 
         watchlist_events = []
         for cid in sorted(uncertain_clients - self.revoked):
@@ -496,32 +477,24 @@ class StdLensDefense(WindowedDefense):
             # honest; the outside-the-population-radius requirement inside
             # _record_exemplars keeps those out of the archive, so every
             # class may contribute exemplars
-            self._record_exemplars(analysis, revocations)
+            self._record_exemplars(window, revocations)
         return revocations, watchlist_events
 
-    def _outlier_strikes(self, analysis) -> tuple[set[int], set[int]]:
-        """Per-window scrutiny of individual clients against confirmed
-        poison directions.
+    def _exemplar_matches(self, window) -> set[int]:
+        """Clients sitting practically on a confirmed poison direction.
 
         One or two lingering attackers cannot drive a class flag or the
         top-2 eigenprojection on their own, so the check runs in full
         block space: a client whose contributions in some class all lie
-        outside the remaining population's confidence radius AND markedly
-        closer to the recorded block direction of an already-revoked
-        attacker than that direction is to the population center collects
-        a watchlist strike. The margin excludes honest outliers that
-        merely lean toward the poison side without replaying it; a client
-        sitting practically on a confirmed poison direction is revoked
-        outright.
-
-        Returns (strikes, revocations).
+        outside the remaining population's confidence radius AND closer
+        to an archived exemplar than 0.75 times that exemplar's distance
+        to the population center is revoked outright.
         """
         watched = {cid for cid, d in self.dossiers.items()
                    if d.verdict == "watchlisted"}
         z = CONFIDENCE_TO_Z[self.confidence]
-        strikes: set[int] = set()
-        instant: set[int] = set()
-        for c, contribs in analysis.items():
+        matches: set[int] = set()
+        for c, contribs in window.items():
             exemplars = self._exemplars.get(c)
             if not exemplars or len(contribs) < 4:
                 continue
@@ -537,12 +510,10 @@ class StdLensDefense(WindowedDefense):
                 pts = blocks[mine]
                 outside = np.linalg.norm(pts - center, axis=1) > radius
                 if (outside & _near_exemplar(pts, exemplars, center, 0.75)).all():
-                    instant.add(cid)
-                elif (outside & _near_exemplar(pts, exemplars, center, 0.9)).all():
-                    strikes.add(cid)
-        return strikes, instant
+                    matches.add(cid)
+        return matches
 
-    def _temporal_strikes(self, analysis) -> set[int]:
+    def _temporal_strikes(self, window) -> set[int]:
         """Per-client repetitiveness scrutiny, independent of clustering.
 
         A replayed poison payload produces a far more repetitive block
@@ -552,7 +523,7 @@ class StdLensDefense(WindowedDefense):
         half the population median collects a watchlist strike.
         """
         strikes: set[int] = set()
-        for contribs in analysis.values():
+        for contribs in window.values():
             by_client: dict[int, list] = {}
             for g in sorted(contribs, key=lambda g: g.round):
                 by_client.setdefault(g.client_id, []).append(g.block)
@@ -569,11 +540,11 @@ class StdLensDefense(WindowedDefense):
                     strikes.add(cid)
         return strikes
 
-    def _record_exemplars(self, analysis, revoked) -> None:
+    def _record_exemplars(self, window, revoked) -> None:
         """Archive the mean block direction of each freshly revoked client
         for the classes where it actually stood apart from the population."""
         z = CONFIDENCE_TO_Z[self.confidence]
-        for c, contribs in analysis.items():
+        for c, contribs in window.items():
             if len(contribs) < 4:
                 continue
             ids = np.array([g.client_id for g in contribs])
@@ -591,26 +562,13 @@ class StdLensDefense(WindowedDefense):
                 if np.linalg.norm(mean - center) > radius:
                     self._exemplars.setdefault(c, []).append(mean)
 
-    def _analyze_class(self, proj: SpatialProjection, contribs, wseed: int):
-        """Tiers 2 and 3 for one flagged class.
-
-        Returns (decided, revoked client ids, uncertain client ids).
-        """
+    def _analyze_class(self, proj: SpatialProjection, contribs):
+        """Tiers 2 and 3 for one flagged class, on the SSC1 2-means split
+        that flagged it. Returns (revoked client ids, uncertain client
+        ids), both empty when a cluster has no defined temporal signature."""
         x = proj.ssc[:, 0]
-
-        # a handful of attackers among many honest clients can be invisible
-        # to 2D inertia yet obvious on SSC1 alone, so keep whichever
-        # labeling separates SSC1 better
-        labels = cluster_2d(proj.ssc, "kmeans", 2,
-                            derive_seed(wseed, "cluster", proj.class_id))
-        labels_1d = two_means_1d(x)
-        sep, sep_1d = _separation(x, labels), _separation(x, labels_1d)
-        if sep_1d > sep:
-            labels, sep = labels_1d, sep_1d
-        proj.assignments = labels
+        labels = two_means_1d(x)
         clusters = sorted(set(labels.tolist()))
-        if len(clusters) < 2:
-            return False, set(), set()
 
         # per-client, per-cluster time-ordered trajectories
         order = np.argsort(proj.rounds, kind="stable")
@@ -625,7 +583,7 @@ class StdLensDefense(WindowedDefense):
         sizes = {c: int((labels == c).sum()) for c in clusters}
         suspicious = identify_suspicious_cluster(sigs, sizes)
         if suspicious is None:
-            return False, set(), set()
+            return set(), set()
 
         _, point_labels = sigma_zone_partition(x, labels, self.confidence)
         # a decided suspicious cluster means both clusters have a signature
@@ -634,11 +592,6 @@ class StdLensDefense(WindowedDefense):
         other = next(c for c in clusters if c != suspicious)
         strong_contrast = (mean_sig[suspicious]
                            <= self.temporal_contrast * mean_sig[other])
-        diag = self.last_analysis.setdefault(proj.class_id, {})
-        diag.update(window=self._windows_run, separation=sep, sizes=sizes,
-                    cluster_mean_signature=mean_sig,
-                    suspicious_cluster=suspicious,
-                    strong_contrast=strong_contrast)
 
         client_sig, client_cluster = {}, {}
         for cid in set(int(c) for c in proj.client_ids):
@@ -649,9 +602,6 @@ class StdLensDefense(WindowedDefense):
             best = min(defined, key=lambda c: (defined[c], sizes[c]))
             client_sig[cid] = defined[best]
             client_cluster[cid] = best
-            d = self.dossiers.setdefault(cid, ClientDossier(cid))
-            d.last_signature = defined[best]
-            d.signatures[proj.class_id] = defined[best]
 
         # temporal sigma zones over the client-level signatures
         temporal_uncertain: set[int] = set()
@@ -715,4 +665,4 @@ class StdLensDefense(WindowedDefense):
                     # watchlist strike from this class
                     revoked.discard(cid)
                     uncertain.discard(cid)
-        return True, revoked, uncertain
+        return revoked, uncertain

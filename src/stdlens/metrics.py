@@ -87,7 +87,7 @@ def build_defense(config: ExperimentConfig, seed: int):
             omega=fed.temporal_window, confidence=fed.confidence_level,
             watchlist_threshold=fed.watchlist_threshold,
             separation_threshold=d.separation_threshold,
-            temporal_contrast=d.temporal_contrast, seed=seed)
+            temporal_contrast=d.temporal_contrast)
     if d.name == "spatial":
         return SpatialClusterDefense(
             num_classes=task.num_classes, window=fed.forensic_window,

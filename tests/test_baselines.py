@@ -84,3 +84,31 @@ def test_spatial_wrapper_ignores_revoked_clients():
             revoked, _ = d.observe_contributions(r, contribs)
             revoked_total += revoked
         assert revoked_total.count(99) <= 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _stdlens(window=5),
+    lambda: SpatialClusterDefense(num_classes=1, window=5),
+    lambda: SpectralSignatureDefense(num_classes=1, window=5, removal_fraction=0.2),
+], ids=["stdlens", "spatial", "spectral"])
+def test_malformed_contributions_are_dropped_at_ingestion(make):
+    rng = make_rng(5, "bl")
+    payload = np.full(6, 20.0)
+    stream = []
+    for r in range(10):
+        contribs = [GradientContribution(cid, r, 0, rng.standard_normal(6))
+                    for cid in range(10)]
+        contribs.append(GradientContribution(99, r, 0,
+                                             payload + 0.01 * rng.standard_normal(6)))
+        stream.append(contribs)
+    nan_block, inf_block = rng.standard_normal(6), rng.standard_normal(6)
+    nan_block[2], inf_block[4] = np.nan, -np.inf
+    extra = {1: GradientContribution(3, 1, 0, nan_block),
+             6: GradientContribution(5, 6, 0, inf_block),
+             7: GradientContribution(2, 7, 99, rng.standard_normal(6))}
+    clean, dirty = make(), make()
+    clean_verdicts = [clean.observe_contributions(r, c) for r, c in enumerate(stream)]
+    dirty_verdicts = [dirty.observe_contributions(r, c + [extra[r]] if r in extra else c)
+                      for r, c in enumerate(stream)]
+    assert any(revoked for revoked, _ in clean_verdicts)
+    assert dirty_verdicts == clean_verdicts

@@ -115,16 +115,23 @@ def test_verify_stats_report(tmp_path):
     assert len(text.splitlines()) == 5
 
 
-def test_stream_dump_and_replay(tiny_yaml, tmp_path):
+@pytest.mark.parametrize("defense", ["stdlens", "spatial", "spectral"])
+def test_stream_dump_and_replay(tiny_yaml, tmp_path, defense):
     out = tmp_path / "run"
-    _invoke("run", "--config", tiny_yaml, "--out", str(out), "--dump-stream")
+    _invoke("run", "--config", tiny_yaml, "--defense", defense, "--out", str(out),
+            "--dump-stream")
     stream = out / "gradient_stream.jsonl"
     assert stream.exists()
     rep = tmp_path / "rep"
     _invoke("replay", "--stream", str(stream), "--config", tiny_yaml,
-            "--out", str(rep))
+            "--defense", defense, "--out", str(rep))
     verdicts = json.loads((rep / "verdicts.json").read_text())
     assert set(verdicts) == {"revocations", "verdicts"}
+    records = [json.loads(line)
+               for line in (out / "runlog.jsonl").read_text().splitlines()[1:]]
+    live = [(rec["round"], cid) for rec in records for cid in rec["revocations"]]
+    assert live
+    assert [(r["round"], r["client_id"]) for r in verdicts["revocations"]] == live
 
 
 def test_dumped_stream_round_trips_byte_for_byte(tiny_yaml, tmp_path):

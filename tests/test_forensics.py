@@ -273,8 +273,10 @@ def test_sigma_zone_rejects_unknown_confidence():
 # -- unit-norm ingestion -----------------------------------------------------
 
 def test_unit_norm_keeps_the_direction_of_an_overflowing_block():
-    out = unit_norm(np.full(288, 1e200))
-    assert np.allclose(out, 1.0 / np.sqrt(288), rtol=1e-12)
+    # 1e-170 is the mirror case: its norm underflows to 0
+    for value in (1e200, 1e-170):
+        out = unit_norm(np.full(288, value))
+        assert np.allclose(out, 1.0 / np.sqrt(288), rtol=1e-12)
     mixed = np.array([1e200, -3e199, 0.0, 2e199])
     assert np.allclose(unit_norm(mixed), mixed / 1e200 / np.linalg.norm(mixed / 1e200),
                        rtol=1e-12)
@@ -346,3 +348,26 @@ def test_defense_revocation_is_terminal():
         events += out
     assert events.count(30) <= 1
     assert defense.dossiers[30].verdict == "revoked"
+
+
+def test_client_in_the_ssc1_gap_is_watchlisted_not_revoked():
+    # tier 3: the gap client sits between the honest and the replayed
+    # cluster on SSC1; it samples noise like the honest clients, so only
+    # the spatial sigma-zone branch can put it on the watchlist
+    rng = make_rng(12, "tier3")
+    payload = np.full(6, 8.0)
+    defense = StdLensDefense(num_classes=1, window=100, omega=1, confidence=0.99,
+                             normalize_blocks=False)
+    for r in range(10):
+        contribs = [GradientContribution(cid, r, 0, rng.standard_normal(6))
+                    for cid in range(12)]
+        contribs += [GradientContribution(cid, r, 0,
+                                          payload + 0.01 * rng.standard_normal(6))
+                     for cid in (20, 21, 22)]
+        contribs.append(GradientContribution(30, r, 0,
+                                             0.4 * payload + rng.standard_normal(6)))
+        defense.observe_contributions(r, contribs)
+    revoked, watchlist_events = defense.window_step()
+    assert revoked == [20, 21, 22]
+    assert 30 in watchlist_events
+    assert defense.dossiers[30].verdict == "watchlisted"
