@@ -22,6 +22,8 @@ __all__ = [
     "effective_poison_for_round",
 ]
 
+SHRINK_FACTOR = 0.10   # box scale of the bbox poison in `apply_poison`
+
 
 def poison_class(dataset: ClientDataset, source: int, target: int,
                  sample_mask=None) -> ClientDataset:
@@ -79,7 +81,7 @@ def apply_poison(spec: AttackSpec, dataset: ClientDataset, rng: np.random.Genera
     if spec.poison_type == "class":
         return poison_class(dataset, spec.source_class, spec.target_class, sample_mask)
     if spec.poison_type == "bbox":
-        return poison_bbox(dataset, spec.source_class, spec.shrink_factor, rng, sample_mask)
+        return poison_bbox(dataset, spec.source_class, SHRINK_FACTOR, rng, sample_mask)
     if spec.poison_type == "objn":
         if background_class is None:
             background_class = int(dataset.classes.max())

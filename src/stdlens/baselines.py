@@ -23,7 +23,6 @@ __all__ = [
 
 
 def defense_spatial_smaller_cluster(contributions_per_class: dict,
-                                    separation_threshold: float = 2.0,
                                     seed: int = 0) -> list[int]:
     """Revoke every client contributing to the smaller spatial cluster.
 
@@ -36,7 +35,7 @@ def defense_spatial_smaller_cluster(contributions_per_class: dict,
                            client_ids=[g.client_id for g in contribs],
                            rounds=[g.round for g in contribs], class_id=c)
         for c, contribs in contributions_per_class.items() if len(contribs) >= 3}
-    flagged = flag_suspect_classes(projections, separation_threshold)
+    flagged = flag_suspect_classes(projections)
     for c in flagged:
         proj = projections[c]
         labels = cluster_2d(proj.ssc, "kmeans", 2, derive_seed(seed, "spatial-bl", c))
@@ -78,18 +77,15 @@ def defense_spectral_signature(contributions_per_class: dict,
 
 
 class SpatialClusterDefense(WindowedDefense):
-    def __init__(self, num_classes: int, window: int,
-                 separation_threshold: float = 2.0, seed: int = 0):
+    def __init__(self, num_classes: int, window: int, seed: int = 0):
         super().__init__(num_classes, window)
-        self.separation_threshold = separation_threshold
         self.seed = seed
         self._windows = 0
 
     def _decide(self, window):
         self._windows += 1
         return defense_spatial_smaller_cluster(
-            window, self.separation_threshold,
-            derive_seed(self.seed, "spatial-window", self._windows)), []
+            window, derive_seed(self.seed, "spatial-window", self._windows)), []
 
 
 class SpectralSignatureDefense(WindowedDefense):

@@ -134,24 +134,30 @@ def attack_sweep(config_path, seed, out, defense, m_grid, beta_grid, gamma_grid,
     if cfg.attack is None:
         raise click.ClickException("attack-sweep requires an [attack] section")
     parse = lambda s, f: [f(v) for v in s.split(",") if v] if s else [None]
-    grid = [(m, b, g, o)
-            for m in parse(m_grid, float) for b in parse(beta_grid, float)
-            for g in parse(gamma_grid, float) for o in parse(onset_grid, int)]
+    subs = []
+    try:  # a grid value that does not parse, or fails validation (ConfigError)
+        grid = [(m, b, g, o)
+                for m in parse(m_grid, float) for b in parse(beta_grid, float)
+                for g in parse(gamma_grid, float) for o in parse(onset_grid, int)]
+        for m, b, g, o in grid:
+            fed = cfg.federation if m is None else dataclasses.replace(
+                cfg.federation, malicious_fraction=m)
+            atk = dataclasses.replace(
+                cfg.attack,
+                **{k: v for k, v in
+                   (("beta", b), ("gamma", g), ("onset_round", o)) if v is not None})
+            subs.append(validate_config(dataclasses.replace(cfg, federation=fed,
+                                                            attack=atk)))
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for m, b, g, o in grid:
-        fed = cfg.federation if m is None else dataclasses.replace(
-            cfg.federation, malicious_fraction=m)
-        atk = dataclasses.replace(
-            cfg.attack,
-            **{k: v for k, v in
-               (("beta", b), ("gamma", g), ("onset_round", o)) if v is not None})
-        sub = validate_config(dataclasses.replace(cfg, federation=fed, attack=atk))
+    for sub in subs:
         _, log, score = run_experiment(sub)
         rows.append({
-            "m": fed.malicious_fraction, "beta": atk.beta, "gamma": atk.gamma,
-            "onset": atk.onset_round,
+            "m": sub.federation.malicious_fraction, "beta": sub.attack.beta,
+            "gamma": sub.attack.gamma, "onset": sub.attack.onset_round,
             "final_ap_src": _fmt(_final_ap(log, sub.attack.source_class)),
             "precision_at_max_recall": _fmt(score.precision_at_max_recall),
             "max_recall": _fmt(score.max_recall),
@@ -205,9 +211,8 @@ def replay(stream_path, config_path, seed, defense, out):
     """Offline forensics on a dumped gradient stream."""
     cfg = _load(config_path, seed, defense)
     stream = read_stream(stream_path)
-    num_classes = max(g.class_id for contribs in stream for g in contribs) + 1
-    cfg = dataclasses.replace(
-        cfg, task=dataclasses.replace(cfg.task, num_classes=num_classes))
+    # the stream is untrusted: the defense is sized by the config, and
+    # ingestion drops contributions with a class id outside it
     d = build_defense(cfg, cfg.federation.master_seed)
     if d is None:
         raise click.ClickException("replay needs a defense other than 'none'")

@@ -96,15 +96,7 @@ class TaskConfig:
     num_anchors: int = 3
     samples_per_client: int = 40
     test_samples: int = 400
-    batch_size: int = 0             # 0 = full batch
-    background_prob: float = 0.25
     feature_noise: float = 0.6
-    prototype_scale: float = 2.0
-    client_spread: float = 0.3      # per-client feature offset std (non-IID knob)
-    center_jitter: float = 0.04
-    size_jitter: float = 0.08
-    refresh_each_round: bool = True  # honest clients draw fresh local data every round
-    iou_threshold: float = 0.5
 
     def violations(self) -> list[str]:
         v = []
@@ -118,10 +110,6 @@ class TaskConfig:
             v.append("samples_per_client must be positive")
         if self.test_samples < 1:
             v.append("test_samples must be positive")
-        if not (0.0 <= self.background_prob < 1.0):
-            v.append("background_prob must be in [0,1)")
-        if not (0.0 < self.iou_threshold < 1.0):
-            v.append("iou_threshold must be in (0,1)")
         return v
 
 
@@ -130,7 +118,6 @@ class AttackSpec:
     poison_type: str = "class"
     source_class: int = 0
     target_class: int = 1
-    shrink_factor: float = 0.10
     beta: float = 0.0
     gamma: float = 1.0
     onset_round: int = 0
@@ -141,8 +128,6 @@ class AttackSpec:
             v.append(f"poison_type must be one of {POISON_TYPES}")
         if self.poison_type == "class" and self.target_class == self.source_class:
             v.append("target_class must differ from source_class")
-        if not (0.0 < self.shrink_factor <= 1.0):
-            v.append("shrink_factor must be in (0,1]")
         if not (0.0 <= self.beta < 1.0):
             v.append("beta must be in [0,1)")
         if not (0.0 < self.gamma <= 1.0):
@@ -155,22 +140,11 @@ class AttackSpec:
 @dataclass(frozen=True)
 class DefenseConfig:
     name: str = "stdlens"
-    separation_threshold: float = 2.0   # min 2-means separation score to flag a class
-    removal_fraction: Optional[float] = None  # spectral baseline budget; None = use m
-    temporal_contrast: float = 0.5      # max suspicious/other mean-signature ratio
-                                        # for direct revocation (else watchlist)
 
     def violations(self) -> list[str]:
-        v = []
-        if not (0.0 < self.temporal_contrast <= 1.0):
-            v.append("temporal_contrast must be in (0,1]")
         if self.name not in DEFENSE_NAMES:
-            v.append(f"defense name must be one of {DEFENSE_NAMES}")
-        if self.separation_threshold <= 0:
-            v.append("separation_threshold must be positive")
-        if self.removal_fraction is not None and not (0.0 < self.removal_fraction < 1.0):
-            v.append("removal_fraction must be in (0,1)")
-        return v
+            return [f"defense name must be one of {DEFENSE_NAMES}"]
+        return []
 
 
 @dataclass(frozen=True)

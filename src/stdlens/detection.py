@@ -14,7 +14,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,14 @@ __all__ = [
     "iou",
     "average_precision",
     "evaluate_per_class_ap",
-    "dataset_to_jsonl",
-    "dataset_from_jsonl",
 ]
+
+# Fixed constants of the class-conditional generators.
+BACKGROUND_PROB = 0.25   # chance that an anchor holds no object
+PROTOTYPE_SCALE = 2.0    # norm of each class prototype
+CLIENT_SPREAD = 0.3      # std of the per-client feature offset (non-IID)
+CENTER_JITTER = 0.04     # half-width of the uniform box-center jitter
+SIZE_JITTER = 0.08       # std of the log-normal box-size jitter
 
 
 @dataclass
@@ -56,10 +60,6 @@ class ClientDataset:
     def copy(self) -> "ClientDataset":
         return ClientDataset(self.x.copy(), self.classes.copy(),
                              self.bboxes.copy(), self.objn.copy())
-
-    def subset(self, idx) -> "ClientDataset":
-        return ClientDataset(self.x[idx], self.classes[idx],
-                             self.bboxes[idx], self.objn[idx])
 
 
 @dataclass
@@ -131,22 +131,21 @@ class TaskGeometry:
     base_sizes: np.ndarray   # (C,)
 
 
-def _make_geometry(seed: int, C: int, d: int, A: int, scale: float) -> TaskGeometry:
+def _make_geometry(seed: int, C: int, d: int, A: int) -> TaskGeometry:
     rng = make_rng(seed, "task-geometry")
     slice_size = max(1, (d - 1) // A)
     protos = rng.standard_normal((A, C + 1, slice_size))
-    protos *= scale / np.maximum(np.linalg.norm(protos, axis=-1, keepdims=True), 1e-12)
+    norms = np.linalg.norm(protos, axis=-1, keepdims=True)
+    protos *= PROTOTYPE_SCALE / np.maximum(norms, 1e-12)
     base = 0.22 + 0.10 * np.arange(C)
     return TaskGeometry(protos, slice_size, base)
 
 
 def generate_client_dataset(geom: TaskGeometry, rng: np.random.Generator, n: int,
-                            C: int, d: int, A: int, *, background_prob: float,
-                            feature_noise: float, center_jitter: float,
-                            size_jitter: float, offset: np.ndarray | None = None
-                            ) -> ClientDataset:
+                            C: int, d: int, A: int, *, feature_noise: float,
+                            offset: np.ndarray | None = None) -> ClientDataset:
     """Draw n samples from the class-conditional generators."""
-    fg = rng.random((n, A)) >= background_prob
+    fg = rng.random((n, A)) >= BACKGROUND_PROB
     classes = np.where(fg, rng.integers(0, C, size=(n, A)), C)
     x = feature_noise * rng.standard_normal((n, d))
     s = geom.slice_size
@@ -156,8 +155,8 @@ def generate_client_dataset(geom: TaskGeometry, rng: np.random.Generator, n: int
     if offset is not None:
         x[:, :-1] += offset[:-1]
     sizes = np.where(fg, geom.base_sizes[np.minimum(classes, C - 1)], 0.0)
-    sizes = sizes * np.exp(size_jitter * rng.standard_normal((n, A)))
-    centers = 0.5 + rng.uniform(-center_jitter, center_jitter, size=(n, A, 2))
+    sizes = sizes * np.exp(SIZE_JITTER * rng.standard_normal((n, A)))
+    centers = 0.5 + rng.uniform(-CENTER_JITTER, CENTER_JITTER, size=(n, A, 2))
     bboxes = np.zeros((n, A, 4))
     bboxes[..., 0] = centers[..., 0]
     bboxes[..., 1] = centers[..., 1]
@@ -169,9 +168,7 @@ def generate_client_dataset(geom: TaskGeometry, rng: np.random.Generator, n: int
 
 def generate_federation_data(seed: int, N: int, samples_per_client: int, C: int,
                              d: int, A: int, *, test_samples: int = 400,
-                             background_prob: float = 0.25, feature_noise: float = 0.6,
-                             prototype_scale: float = 2.0, client_spread: float = 0.3,
-                             center_jitter: float = 0.04, size_jitter: float = 0.08):
+                             feature_noise: float = 0.6):
     """Per-client datasets plus a disjoint held-out test set.
 
     Returns (datasets, test_set, geometry, offsets); offsets are the fixed
@@ -179,17 +176,15 @@ def generate_federation_data(seed: int, N: int, samples_per_client: int, C: int,
     """
     if C < 2 or d < 4 or A < 1:
         raise ValueError("invalid task dimensions: need C >= 2, d >= 4, A >= 1")
-    geom = _make_geometry(seed, C, d, A, prototype_scale)
-    offsets = client_spread * make_rng(seed, "client-offsets").standard_normal((N, d))
-    kwargs = dict(background_prob=background_prob, feature_noise=feature_noise,
-                  center_jitter=center_jitter, size_jitter=size_jitter)
+    geom = _make_geometry(seed, C, d, A)
+    offsets = CLIENT_SPREAD * make_rng(seed, "client-offsets").standard_normal((N, d))
     datasets = [
         generate_client_dataset(geom, make_rng(seed, "data", i, 0), samples_per_client,
-                                C, d, A, offset=offsets[i], **kwargs)
+                                C, d, A, feature_noise=feature_noise, offset=offsets[i])
         for i in range(N)
     ]
     test = generate_client_dataset(geom, make_rng(seed, "test-data"), test_samples,
-                                   C, d, A, offset=None, **kwargs)
+                                   C, d, A, feature_noise=feature_noise)
     return datasets, test, geom, offsets
 
 
@@ -341,8 +336,7 @@ def average_precision(predictions, ground_truth, iou_threshold: float = 0.5):
     return float(np.sum((recall - prev) * precision))
 
 
-def evaluate_per_class_ap(weights: DetectorWeights, test: ClientDataset,
-                          iou_threshold: float = 0.5):
+def evaluate_per_class_ap(weights: DetectorWeights, test: ClientDataset):
     """Per-class AP of the detector on a test set; None where undefined."""
     A, C, d = weights.shape_params
     probs, pred_class, pred_boxes, objn_p = predict(weights, test.x)
@@ -358,34 +352,4 @@ def evaluate_per_class_ap(weights: DetectorWeights, test: ClientDataset,
             tc = test.classes[i, a]
             if tc < C:
                 gts[tc].append((i, test.bboxes[i, a]))
-    return {c: average_precision(preds[c], gts[c], iou_threshold) for c in range(C)}
-
-
-def dataset_to_jsonl(dataset: ClientDataset, path) -> None:
-    """One sample per line: features plus the anchor triplet list."""
-    with open(path, "w") as fh:
-        for i in range(len(dataset)):
-            anchors = []
-            for a in range(dataset.classes.shape[1]):
-                anchors.append({
-                    "class": int(dataset.classes[i, a]),
-                    "bbox": [float(v) for v in dataset.bboxes[i, a]],
-                    "objn": bool(dataset.objn[i, a]),
-                })
-            fh.write(json.dumps({"x": [float(v) for v in dataset.x[i]],
-                                 "anchors": anchors}) + "\n")
-
-
-def dataset_from_jsonl(path) -> ClientDataset:
-    xs, classes, boxes, objn = [], [], [], []
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            xs.append(rec["x"])
-            classes.append([a["class"] for a in rec["anchors"]])
-            boxes.append([a["bbox"] for a in rec["anchors"]])
-            objn.append([a["objn"] for a in rec["anchors"]])
-    return ClientDataset(np.asarray(xs, dtype=float),
-                         np.asarray(classes, dtype=np.int64),
-                         np.asarray(boxes, dtype=float),
-                         np.asarray(objn, dtype=bool))
+    return {c: average_precision(preds[c], gts[c]) for c in range(C)}

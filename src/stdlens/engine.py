@@ -115,28 +115,17 @@ def select_participants(round_idx: int, active_clients, k: float,
 
 
 def local_update(dataset: ClientDataset, weights: DetectorWeights, epochs: int,
-                 learning_rate: float, rng: np.random.Generator,
-                 batch_size: int = 0) -> DetectorWeights:
+                 learning_rate: float) -> DetectorWeights:
     """Locally trained weights minus the global weights.
 
-    Mini-batch SGD; batch_size 0 means full-batch, in which case a single
-    epoch reduces to one plain gradient step.
+    Full-batch gradient descent: each epoch is one plain gradient step.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     w = weights.copy()
-    n = len(dataset)
-    bs = n if batch_size <= 0 else min(batch_size, n)
     for _ in range(epochs):
-        if bs >= n:
-            _, grad = detector_loss_and_grad(w, dataset)
-            w = w.sub(grad.scaled(learning_rate))
-        else:
-            order = rng.permutation(n)
-            for start in range(0, n, bs):
-                batch = dataset.subset(order[start:start + bs])
-                _, grad = detector_loss_and_grad(w, batch)
-                w = w.sub(grad.scaled(learning_rate))
+        _, grad = detector_loss_and_grad(w, dataset)
+        w = w.sub(grad.scaled(learning_rate))
     return w.sub(weights)
 
 
@@ -168,10 +157,7 @@ def run_federation(config: ExperimentConfig, defense=None, *,
 
     base_datasets, test, geom, offsets = generate_federation_data(
         seed, fed.num_clients, task.samples_per_client, C, d, A,
-        test_samples=task.test_samples, background_prob=task.background_prob,
-        feature_noise=task.feature_noise, prototype_scale=task.prototype_scale,
-        client_spread=task.client_spread, center_jitter=task.center_jitter,
-        size_jitter=task.size_jitter)
+        test_samples=task.test_samples, feature_noise=task.feature_noise)
 
     role_rng = make_rng(seed, "roles")
     malicious = set(role_rng.choice(fed.num_clients, size=fed.num_malicious,
@@ -181,17 +167,11 @@ def run_federation(config: ExperimentConfig, defense=None, *,
 
     weights = DetectorWeights.zeros(A, C, d)
     active = set(range(fed.num_clients))
-    gen_kwargs = dict(background_prob=task.background_prob,
-                      feature_noise=task.feature_noise,
-                      center_jitter=task.center_jitter,
-                      size_jitter=task.size_jitter)
 
     def dataset_for(client: int, rnd: int) -> ClientDataset:
-        if not task.refresh_each_round:
-            return base_datasets[client]
         return generate_client_dataset(
             geom, make_rng(seed, "data", client, rnd), task.samples_per_client,
-            C, d, A, offset=offsets[client], **gen_kwargs)
+            C, d, A, feature_noise=task.feature_noise, offset=offsets[client])
 
     for rnd in range(fed.rounds):
         t0 = time.perf_counter()
@@ -210,9 +190,7 @@ def run_federation(config: ExperimentConfig, defense=None, *,
                 data = dataset_for(cid, rnd)
                 was_poisoned = False
             poisoned_flags[cid] = bool(was_poisoned)
-            delta = local_update(data, weights, fed.local_epochs, fed.learning_rate,
-                                 make_rng(seed, "local", cid, rnd),
-                                 batch_size=task.batch_size)
+            delta = local_update(data, weights, fed.local_epochs, fed.learning_rate)
             updates.append(ClientUpdate(cid, rnd, delta, len(data)))
 
         weights = weights.add(fedavg_aggregate(updates))
@@ -225,7 +203,7 @@ def run_federation(config: ExperimentConfig, defense=None, *,
             for cid in revocations:
                 active.discard(cid)
 
-        ap = (evaluate_per_class_ap(weights, test, task.iou_threshold)
+        ap = (evaluate_per_class_ap(weights, test)
               if rnd % eval_every == 0 or rnd == fed.rounds - 1 else {})
         log.append(RoundRecord(rnd, sorted(participants), ap, poisoned_flags,
                                sorted(revocations), sorted(watchlist_events),

@@ -54,6 +54,11 @@ __all__ = [
     "StdLensDefense",
 ]
 
+SEPARATION_THRESHOLD = 2.0  # least SSC1 2-means separation score that flags a class
+TEMPORAL_CONTRAST = 0.5     # most suspicious/benign temporal-signature ratio that
+                            # revokes outright (a weaker contrast only watchlists)
+MAX_BLOCK_ENTRY = 1e100     # larger admitted entries could overflow a covariance
+
 
 @dataclass
 class GradientContribution:
@@ -212,11 +217,11 @@ def cluster_2d(points: np.ndarray, algorithm: str = "kmeans", k: int = 2,
     return kmeans(points, k, seed)
 
 
-def flag_suspect_classes(projections: dict, separation_threshold: float = 2.0) -> set:
+def flag_suspect_classes(projections: dict) -> set:
     """Classes whose SSC1 projection splits into two separated clusters.
 
     Separation score s = |mu0 - mu1| / (sd0 + sd1 + eps) of the exact
-    2-means split of the SSC1 coordinates; flag iff s >= separation_threshold.
+    2-means split of the SSC1 coordinates; flag iff s >= SEPARATION_THRESHOLD.
     """
     flagged = set()
     for class_id, proj in projections.items():
@@ -226,7 +231,7 @@ def flag_suspect_classes(projections: dict, separation_threshold: float = 2.0) -
         labels = two_means_1d(x)
         lo, hi = x[labels == 0], x[labels == 1]
         if len(hi) and (abs(lo.mean() - hi.mean()) / (lo.std() + hi.std() + 1e-12)
-                        >= separation_threshold):
+                        >= SEPARATION_THRESHOLD):
             flagged.add(class_id)
     return flagged
 
@@ -362,9 +367,10 @@ def unit_norm(block: np.ndarray) -> np.ndarray:
 class WindowedDefense:
     """Ingestion shell shared by every windowed defense: extracts per-class
     blocks, drops revoked clients and malformed contributions (non-finite
-    block, class id out of range), buffers per class, counts rounds and
-    every `window` rounds hands the buffer to `_decide`, which returns
-    (clients to revoke, watchlist events). No client is revoked twice."""
+    block, class id out of range, an admitted entry above MAX_BLOCK_ENTRY in
+    magnitude), buffers per class, counts rounds and every `window` rounds
+    hands the buffer to `_decide`, which returns (clients to revoke,
+    watchlist events). No client is revoked twice."""
 
     def __init__(self, num_classes: int, window: int):
         self.num_classes = num_classes
@@ -384,10 +390,13 @@ class WindowedDefense:
                               ) -> tuple[list[int], list[int]]:
         """Replay-mode hook: consume pre-extracted gradient contributions."""
         for g in contributions:
-            if (g.client_id not in self.revoked
-                    and 0 <= g.class_id < self.num_classes
-                    and np.isfinite(g.block).all()):
-                self._current[g.class_id].append(self._admit(g))
+            if (g.client_id in self.revoked
+                    or not 0 <= g.class_id < self.num_classes
+                    or not np.isfinite(g.block).all()):
+                continue
+            g = self._admit(g)
+            if np.abs(g.block).max(initial=0.0) <= MAX_BLOCK_ENTRY:
+                self._current[g.class_id].append(g)
         self._rounds_seen += 1
         if self._rounds_seen % self.window == 0:
             return self.window_step()
@@ -420,15 +429,12 @@ class StdLensDefense(WindowedDefense):
 
     def __init__(self, num_classes: int, window: int, omega: int,
                  confidence: float, watchlist_threshold: int = 2,
-                 separation_threshold: float = 2.0, normalize_blocks: bool = True,
-                 temporal_contrast: float = 0.5, seed: int = 0):
+                 normalize_blocks: bool = True, seed: int = 0):
         super().__init__(num_classes, window)
         self.normalize_blocks = normalize_blocks
         self.omega = omega
         self.confidence = confidence
         self.watchlist_threshold = watchlist_threshold
-        self.separation_threshold = separation_threshold
-        self.temporal_contrast = temporal_contrast
         self.dossiers: dict[int, ClientDossier] = {}
         self._exemplars: dict[int, list] = {}      # class_id -> revoked block means
 
@@ -451,7 +457,7 @@ class StdLensDefense(WindowedDefense):
                                client_ids=[g.client_id for g in contribs],
                                rounds=[g.round for g in contribs], class_id=c)
             for c, contribs in window.items() if len(contribs) >= 3}
-        flagged = flag_suspect_classes(projections, self.separation_threshold)
+        flagged = flag_suspect_classes(projections)
 
         to_revoke: set[int] = self._exemplar_matches(window)
         uncertain_clients: set[int] = self._temporal_strikes(window)
@@ -536,7 +542,7 @@ class StdLensDefense(WindowedDefense):
             if med <= 0:
                 continue
             for cid, v in defined.items():
-                if v <= self.temporal_contrast * med:
+                if v <= TEMPORAL_CONTRAST * med:
                     strikes.add(cid)
         return strikes
 
@@ -591,7 +597,7 @@ class StdLensDefense(WindowedDefense):
                     for c in clusters}
         other = next(c for c in clusters if c != suspicious)
         strong_contrast = (mean_sig[suspicious]
-                           <= self.temporal_contrast * mean_sig[other])
+                           <= TEMPORAL_CONTRAST * mean_sig[other])
 
         client_sig, client_cluster = {}, {}
         for cid in set(int(c) for c in proj.client_ids):
@@ -629,7 +635,7 @@ class StdLensDefense(WindowedDefense):
         revoked = {cid for cid, cl in client_cluster.items()
                    if cl == suspicious and client_points_ok.get(cid, False)
                    and cid not in temporal_uncertain
-                   and client_sig[cid] <= self.temporal_contrast * mean_sig[other]}
+                   and client_sig[cid] <= TEMPORAL_CONTRAST * mean_sig[other]}
 
         # weak-evidence paths below only make sense when the suspicious
         # cluster is the minority: attackers are < half the population, so

@@ -85,20 +85,14 @@ def build_defense(config: ExperimentConfig, seed: int):
         return StdLensDefense(
             num_classes=task.num_classes, window=fed.forensic_window,
             omega=fed.temporal_window, confidence=fed.confidence_level,
-            watchlist_threshold=fed.watchlist_threshold,
-            separation_threshold=d.separation_threshold,
-            temporal_contrast=d.temporal_contrast)
+            watchlist_threshold=fed.watchlist_threshold)
     if d.name == "spatial":
         return SpatialClusterDefense(
-            num_classes=task.num_classes, window=fed.forensic_window,
-            separation_threshold=d.separation_threshold, seed=seed)
+            num_classes=task.num_classes, window=fed.forensic_window, seed=seed)
     if d.name == "spectral":
-        frac = d.removal_fraction
-        if frac is None:
-            frac = max(fed.malicious_fraction, 0.05)
         return SpectralSignatureDefense(
             num_classes=task.num_classes, window=fed.forensic_window,
-            removal_fraction=frac)
+            removal_fraction=max(fed.malicious_fraction, 0.05))
     raise ValueError(f"unknown defense {d.name!r}")
 
 

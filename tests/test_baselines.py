@@ -104,6 +104,7 @@ def test_malformed_contributions_are_dropped_at_ingestion(make):
     nan_block, inf_block = rng.standard_normal(6), rng.standard_normal(6)
     nan_block[2], inf_block[4] = np.nan, -np.inf
     extra = {1: GradientContribution(3, 1, 0, nan_block),
+             3: GradientContribution(4, 3, 0, np.full(6, 1e200)),
              6: GradientContribution(5, 6, 0, inf_block),
              7: GradientContribution(2, 7, 99, rng.standard_normal(6))}
     clean, dirty = make(), make()

@@ -106,6 +106,21 @@ def test_attack_sweep_grid(tiny_yaml, tmp_path):
     assert lines[0].startswith("m,beta,gamma,onset,")
 
 
+@pytest.mark.parametrize("flag, values, message", [
+    ("--m", "0.2,0.15", "m*N must be an integer count of clients"),
+    ("--beta", "0.1,abc", "could not convert string to float: 'abc'"),
+], ids=["m", "beta"])
+def test_attack_sweep_rejects_an_invalid_grid_value(tiny_yaml, tmp_path, flag,
+                                                    values, message):
+    # the bad value comes second: the grid is checked before any run
+    out = tmp_path / "sweep"
+    result = CliRunner().invoke(main, ["attack-sweep", "--config", tiny_yaml,
+                                       "--out", str(out), flag, values])
+    assert result.exit_code != 0
+    assert message in result.output
+    assert not out.exists()
+
+
 def test_verify_stats_report(tmp_path):
     out = tmp_path / "stats"
     _invoke("verify-stats", "--trials", "3", "--samples", "1000",
@@ -132,6 +147,24 @@ def test_stream_dump_and_replay(tiny_yaml, tmp_path, defense):
     live = [(rec["round"], cid) for rec in records for cid in rec["revocations"]]
     assert live
     assert [(r["round"], r["client_id"]) for r in verdicts["revocations"]] == live
+
+
+def test_replay_sizes_the_defense_from_the_config(tiny_yaml, tmp_path):
+    # the stream is untrusted: a huge class id must not size the defense
+    out = tmp_path / "run"
+    _invoke("run", "--config", tiny_yaml, "--out", str(out), "--dump-stream")
+    clean = out / "gradient_stream.jsonl"
+    hostile = tmp_path / "hostile.jsonl"
+    record = {"round": 0, "client_id": 0, "class_id": 10 ** 9, "block": [1.0, 2.0]}
+    hostile.write_text(clean.read_text() + json.dumps(record) + "\n")
+    verdicts = []
+    for stream in (clean, hostile):
+        rep = tmp_path / stream.stem
+        _invoke("replay", "--stream", str(stream), "--config", tiny_yaml,
+                "--out", str(rep))
+        verdicts.append((rep / "verdicts.json").read_bytes())
+    assert json.loads(verdicts[0])["revocations"]
+    assert verdicts[1] == verdicts[0]
 
 
 def test_dumped_stream_round_trips_byte_for_byte(tiny_yaml, tmp_path):

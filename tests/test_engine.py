@@ -12,7 +12,7 @@ from stdlens.engine import (ClientUpdate, PopulationExhaustedError, RoundRecord,
                             run_federation, select_participants)
 from stdlens.metrics import run_experiment
 from stdlens.seeding import make_rng
-from tests.test_detection import _random_pair
+from tests.test_detection import _empty, _random_pair
 
 
 # -- FedAvg ------------------------------------------------------------------
@@ -103,8 +103,7 @@ def test_selection_exhausted_population():
 def test_local_update_decreases_loss():
     w, batch = _random_pair(20, n=30)
     loss0, _ = detector_loss_and_grad(w, batch)
-    delta = local_update(batch, w, epochs=5, learning_rate=0.2,
-                         rng=make_rng(0, "sgd"))
+    delta = local_update(batch, w, epochs=5, learning_rate=0.2)
     loss1, _ = detector_loss_and_grad(w.add(delta), batch)
     assert loss1 < loss0
 
@@ -112,16 +111,14 @@ def test_local_update_decreases_loss():
 def test_local_update_full_batch_single_epoch_is_one_gradient_step():
     w, batch = _random_pair(21, n=10)
     _, grad = detector_loss_and_grad(w, batch)
-    delta = local_update(batch, w, epochs=1, learning_rate=0.1,
-                         rng=make_rng(0, "sgd"))
+    delta = local_update(batch, w, epochs=1, learning_rate=0.1)
     assert np.allclose(delta.to_vector(), -0.1 * grad.to_vector(), atol=1e-12)
 
 
 def test_local_update_rejects_empty_dataset():
     w, batch = _random_pair(22)
     with pytest.raises(ValueError):
-        local_update(batch.subset(np.array([], dtype=int)), w, 1, 0.1,
-                     make_rng(0, "sgd"))
+        local_update(_empty(batch), w, 1, 0.1)
 
 
 # -- run log -----------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_flagging_uses_the_optimal_split():
     proj = SpatialProjection(0, np.zeros(n, int), np.arange(n),
                              np.c_[LLOYD_TRAP, np.zeros(n)], np.ones(2),
                              np.eye(2, n))
-    assert flag_suspect_classes({0: proj}, 2.0) == {0}
+    assert flag_suspect_classes({0: proj}) == {0}
 
 
 def test_two_means_1d_edge_cases():
@@ -188,7 +188,7 @@ def test_flagging_separated_vs_single_gaussian():
                        rng.standard_normal((10, 6)) + 25.0])
     projections = {0: spatial_project(tight, class_id=0),
                    1: spatial_project(split, class_id=1)}
-    assert flag_suspect_classes(projections, 2.0) == {1}
+    assert flag_suspect_classes(projections) == {1}
 
 
 def test_flagging_false_positive_rate():
@@ -196,7 +196,7 @@ def test_flagging_false_positive_rate():
     flagged = 0
     for t in range(200):
         proj = spatial_project(rng.standard_normal((30, 5)), class_id=0)
-        flagged += bool(flag_suspect_classes({0: proj}, 2.0))
+        flagged += bool(flag_suspect_classes({0: proj}))
     assert flagged / 200 < 0.05
 
 
