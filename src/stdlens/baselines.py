@@ -8,10 +8,9 @@ Both run in the same windowing shell as the main defense.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
-from .forensics import (WindowedDefense, cluster_2d, flag_suspect_classes,
-                        spatial_project)
+from .forensics import (WindowedDefense, cluster_2d, covariance_top_eigh,
+                        flag_suspect_classes, spatial_project)
 from .seeding import derive_seed
 
 __all__ = [
@@ -50,10 +49,11 @@ def defense_spatial_smaller_cluster(contributions_per_class: dict,
 
 def defense_spectral_signature(contributions_per_class: dict,
                                removal_fraction: float) -> list[int]:
-    """SVD outlier removal.
+    """Spectral outlier removal.
 
     Per class: mean-center the blocks, score each contribution by
-    |<block - mean, top right-singular vector>|, and revoke the clients
+    |<block - mean, top covariance eigenvector>| (the top right-singular
+    vector of the centered blocks), and revoke the clients
     owning the top removal_fraction of scores (stable index
     tie-breaking). No flagging gate; this is the baseline's documented
     aggressiveness.
@@ -64,10 +64,8 @@ def defense_spectral_signature(contributions_per_class: dict,
     for c, contribs in contributions_per_class.items():
         if len(contribs) < 3:
             continue
-        blocks = np.stack([g.block for g in contribs])
-        centered = blocks - blocks.mean(axis=0)
-        _, _, vt = scipy.linalg.svd(centered, full_matrices=False)
-        scores = np.abs(centered @ vt[0])
+        centered, _, vecs = covariance_top_eigh(np.stack([g.block for g in contribs]), 1)
+        scores = np.abs(centered @ vecs[:, 0])
         k = int(np.floor(removal_fraction * len(contribs) + 0.5))
         if k < 1:
             continue
@@ -77,8 +75,9 @@ def defense_spectral_signature(contributions_per_class: dict,
 
 
 class SpatialClusterDefense(WindowedDefense):
-    def __init__(self, num_classes: int, window: int, seed: int = 0):
-        super().__init__(num_classes, window)
+    def __init__(self, num_classes: int, window: int, seed: int = 0,
+                 block_dim: int | None = None):
+        super().__init__(num_classes, window, block_dim)
         self.seed = seed
         self._windows = 0
 
@@ -89,8 +88,9 @@ class SpatialClusterDefense(WindowedDefense):
 
 
 class SpectralSignatureDefense(WindowedDefense):
-    def __init__(self, num_classes: int, window: int, removal_fraction: float):
-        super().__init__(num_classes, window)
+    def __init__(self, num_classes: int, window: int, removal_fraction: float,
+                 block_dim: int | None = None):
+        super().__init__(num_classes, window, block_dim)
         self.removal_fraction = removal_fraction
 
     def _decide(self, window):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .config import CONFIDENCE_TO_Z
 from .detection import DetectorWeights
@@ -105,13 +104,25 @@ class SpatialProjection:
 
 
 def covariance_top_eigh(samples: np.ndarray, k: int):
-    """(centered rows, sample covariance, top-k eigenvalues ascending,
-    eigenvector columns), unordered and unsigned as eigh returns them."""
+    """(centered rows, top-k eigenvalues ascending, unit eigenvector
+    columns) of the sample covariance, unsigned as eigh returns them.
+
+    With fewer rows than dimensions the n x n Gram matrix C C^T/(n-1) is
+    solved instead of the dim x dim covariance C^T C/(n-1): both share
+    their nonzero eigenvalues, and a Gram eigenvector u maps to the
+    covariance eigenvector C^T u/|C^T u| (the snapshot method: Sirovich
+    1987; Turk & Pentland 1991). A zero C^T u stays a zero column.
+    """
     centered = samples - samples.mean(axis=0)
-    cov = centered.T @ centered / (samples.shape[0] - 1)
-    d = cov.shape[0]
-    vals, vecs = scipy.linalg.eigh(cov, subset_by_index=[d - k, d - 1])
-    return centered, cov, vals, vecs
+    n, d = centered.shape
+    if n < d:
+        vals, u = np.linalg.eigh(centered @ centered.T / (n - 1))
+        vecs = centered.T @ u[:, n - k:]
+        norms = np.linalg.norm(vecs, axis=0)
+        vecs = np.divide(vecs, norms, out=np.zeros_like(vecs), where=norms > 0)
+        return centered, vals[n - k:], vecs
+    vals, vecs = np.linalg.eigh(centered.T @ centered / (n - 1))
+    return centered, vals[d - k:], vecs[:, d - k:]
 
 
 def spatial_project(blocks: np.ndarray, client_ids=None, rounds=None,
@@ -128,7 +139,7 @@ def spatial_project(blocks: np.ndarray, client_ids=None, rounds=None,
         raise ValueError("need at least 3 contributions")
     if dim < 2:
         raise ValueError("block dimension must be >= 2")
-    centered, _, vals, vecs = covariance_top_eigh(blocks, 2)
+    centered, vals, vecs = covariance_top_eigh(blocks, 2)
     order = np.argsort(vals)[::-1]
     vals = np.maximum(vals[order], 0.0)
     vecs = vecs[:, order].T                       # rows v1, v2
@@ -366,15 +377,18 @@ def unit_norm(block: np.ndarray) -> np.ndarray:
 
 class WindowedDefense:
     """Ingestion shell shared by every windowed defense: extracts per-class
-    blocks, drops revoked clients and malformed contributions (non-finite
-    block, class id out of range, an admitted entry above MAX_BLOCK_ENTRY in
+    blocks, drops revoked clients and malformed contributions (a block not
+    of shape `(block_dim,)` when `block_dim` is given, non-finite block,
+    class id out of range, an admitted entry above MAX_BLOCK_ENTRY in
     magnitude), buffers per class, counts rounds and every `window` rounds
     hands the buffer to `_decide`, which returns (clients to revoke,
     watchlist events). No client is revoked twice."""
 
-    def __init__(self, num_classes: int, window: int):
+    def __init__(self, num_classes: int, window: int,
+                 block_dim: Optional[int] = None):
         self.num_classes = num_classes
         self.window = window
+        self.block_dim = block_dim
         self.revoked: set[int] = set()
         self._current: dict[int, list[GradientContribution]] = {
             c: [] for c in range(num_classes)}
@@ -392,6 +406,8 @@ class WindowedDefense:
         for g in contributions:
             if (g.client_id in self.revoked
                     or not 0 <= g.class_id < self.num_classes
+                    or (self.block_dim is not None
+                        and np.shape(g.block) != (self.block_dim,))
                     or not np.isfinite(g.block).all()):
                 continue
             g = self._admit(g)
@@ -429,8 +445,9 @@ class StdLensDefense(WindowedDefense):
 
     def __init__(self, num_classes: int, window: int, omega: int,
                  confidence: float, watchlist_threshold: int = 2,
-                 normalize_blocks: bool = True, seed: int = 0):
-        super().__init__(num_classes, window)
+                 normalize_blocks: bool = True, seed: int = 0,
+                 block_dim: Optional[int] = None):
+        super().__init__(num_classes, window, block_dim)
         self.normalize_blocks = normalize_blocks
         self.omega = omega
         self.confidence = confidence

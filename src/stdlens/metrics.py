@@ -81,18 +81,17 @@ def build_defense(config: ExperimentConfig, seed: int):
     fed, task, d = config.federation, config.task, config.defense
     if d.name == "none":
         return None
+    shell = dict(num_classes=task.num_classes, window=fed.forensic_window,
+                 block_dim=6 * task.num_anchors * task.feature_dim)
     if d.name == "stdlens":
         return StdLensDefense(
-            num_classes=task.num_classes, window=fed.forensic_window,
-            omega=fed.temporal_window, confidence=fed.confidence_level,
+            **shell, omega=fed.temporal_window, confidence=fed.confidence_level,
             watchlist_threshold=fed.watchlist_threshold)
     if d.name == "spatial":
-        return SpatialClusterDefense(
-            num_classes=task.num_classes, window=fed.forensic_window, seed=seed)
+        return SpatialClusterDefense(**shell, seed=seed)
     if d.name == "spectral":
         return SpectralSignatureDefense(
-            num_classes=task.num_classes, window=fed.forensic_window,
-            removal_fraction=max(fed.malicious_fraction, 0.05))
+            **shell, removal_fraction=max(fed.malicious_fraction, 0.05))
     raise ValueError(f"unknown defense {d.name!r}")
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .forensics import GradientContribution, covariance_top_eigh
 from .seeding import make_rng
@@ -37,7 +36,7 @@ class PopulationSpec:
         cov = np.asarray(self.cov, dtype=float)
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
-        if scipy.linalg.eigvalsh(cov).min() < -1e-12:
+        if np.linalg.eigvalsh(cov).min() < -1e-12:
             raise ValueError("covariance must be positive semi-definite")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,14 +44,14 @@ class PopulationSpec:
                                        method="cholesky" if _is_pd(self.cov) else "svd")
 
     def top_variance(self) -> float:
-        return float(scipy.linalg.eigvalsh(self.cov)[-1])
+        return float(np.linalg.eigvalsh(self.cov)[-1])
 
 
 def _is_pd(cov) -> bool:
     try:
-        scipy.linalg.cholesky(cov)
+        np.linalg.cholesky(cov)
         return True
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         return False
 
 
@@ -81,9 +80,9 @@ def top_eigenpair(samples: np.ndarray):
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    _, cov, vals, vecs = covariance_top_eigh(samples, 1)
-    if np.allclose(cov, 0.0):
-        return np.eye(cov.shape[0])[0], 0.0
+    centered, vals, vecs = covariance_top_eigh(samples, 1)
+    if np.allclose(centered, 0.0):
+        return np.eye(centered.shape[1])[0], 0.0
     v = vecs[:, 0]
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
@@ -146,7 +145,7 @@ def random_premise_mixture(rng: np.random.Generator, d: int, m: float,
     def random_cov(scale):
         a = rng.standard_normal((d, d))
         cov = a @ a.T / d
-        top = scipy.linalg.eigvalsh(cov)[-1]
+        top = np.linalg.eigvalsh(cov)[-1]
         return cov * (scale / top)
     phi_sq = rng.uniform(0.5, 2.0)
     cov_h = random_cov(phi_sq * rng.uniform(0.3, 1.0))

@@ -50,9 +50,9 @@ def test_spectral_rejects_bad_fraction():
         defense_spectral_signature({}, removal_fraction=1.0)
 
 
-def _stdlens(window):
+def _stdlens(window, **kwargs):
     return StdLensDefense(num_classes=1, window=window, omega=1, confidence=0.99,
-                          normalize_blocks=False)
+                          normalize_blocks=False, **kwargs)
 
 
 def test_windowed_wrappers_fire_only_at_boundaries():
@@ -87,9 +87,10 @@ def test_spatial_wrapper_ignores_revoked_clients():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: _stdlens(window=5),
-    lambda: SpatialClusterDefense(num_classes=1, window=5),
-    lambda: SpectralSignatureDefense(num_classes=1, window=5, removal_fraction=0.2),
+    lambda: _stdlens(window=5, block_dim=6),
+    lambda: SpatialClusterDefense(num_classes=1, window=5, block_dim=6),
+    lambda: SpectralSignatureDefense(num_classes=1, window=5, removal_fraction=0.2,
+                                     block_dim=6),
 ], ids=["stdlens", "spatial", "spectral"])
 def test_malformed_contributions_are_dropped_at_ingestion(make):
     rng = make_rng(5, "bl")
@@ -106,7 +107,8 @@ def test_malformed_contributions_are_dropped_at_ingestion(make):
     extra = {1: GradientContribution(3, 1, 0, nan_block),
              3: GradientContribution(4, 3, 0, np.full(6, 1e200)),
              6: GradientContribution(5, 6, 0, inf_block),
-             7: GradientContribution(2, 7, 99, rng.standard_normal(6))}
+             7: GradientContribution(2, 7, 99, rng.standard_normal(6)),
+             8: GradientContribution(6, 8, 0, np.array([1.0, 2.0]))}
     clean, dirty = make(), make()
     clean_verdicts = [clean.observe_contributions(r, c) for r, c in enumerate(stream)]
     dirty_verdicts = [dirty.observe_contributions(r, c + [extra[r]] if r in extra else c)

@@ -1,12 +1,19 @@
 """CLI subcommands: artifact layout, determinism, stream replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import stdlens
 from stdlens.cli import main
 from stdlens.replay import read_stream, write_contributions
+
+SRC = str(Path(stdlens.__file__).resolve().parents[1])
 
 TINY_YAML = """\
 federation:
@@ -149,13 +156,13 @@ def test_stream_dump_and_replay(tiny_yaml, tmp_path, defense):
     assert [(r["round"], r["client_id"]) for r in verdicts["revocations"]] == live
 
 
-def test_replay_sizes_the_defense_from_the_config(tiny_yaml, tmp_path):
-    # the stream is untrusted: a huge class id must not size the defense
+def _replay_with_hostile_record(tiny_yaml, tmp_path, record):
+    """verdicts.json bytes of replaying a dumped tiny stream, without and
+    with one extra record."""
     out = tmp_path / "run"
     _invoke("run", "--config", tiny_yaml, "--out", str(out), "--dump-stream")
     clean = out / "gradient_stream.jsonl"
     hostile = tmp_path / "hostile.jsonl"
-    record = {"round": 0, "client_id": 0, "class_id": 10 ** 9, "block": [1.0, 2.0]}
     hostile.write_text(clean.read_text() + json.dumps(record) + "\n")
     verdicts = []
     for stream in (clean, hostile):
@@ -164,7 +171,39 @@ def test_replay_sizes_the_defense_from_the_config(tiny_yaml, tmp_path):
                 "--out", str(rep))
         verdicts.append((rep / "verdicts.json").read_bytes())
     assert json.loads(verdicts[0])["revocations"]
-    assert verdicts[1] == verdicts[0]
+    return verdicts
+
+
+def test_replay_sizes_the_defense_from_the_config(tiny_yaml, tmp_path):
+    # the stream is untrusted: a huge class id must not size the defense
+    record = {"round": 0, "client_id": 0, "class_id": 10 ** 9, "block": [1.0, 2.0]}
+    clean, hostile = _replay_with_hostile_record(tiny_yaml, tmp_path, record)
+    assert hostile == clean
+
+
+def test_replay_drops_a_block_of_the_wrong_length(tiny_yaml, tmp_path):
+    # the block length comes from the config (6*A*d = 120), not the stream
+    record = {"round": 0, "client_id": 0, "class_id": 1, "block": [1.0, 2.0]}
+    clean, hostile = _replay_with_hostile_record(tiny_yaml, tmp_path, record)
+    assert hostile == clean
+
+
+def test_import_loads_no_package_beyond_the_declared_dependencies():
+    # a heavy transitive import (such as a scientific stack beside numpy)
+    # costs every process its import time and resident memory
+    code = """
+import sys
+def loaded():
+    return {m.split(".")[0] for m in sys.modules} - set(sys.stdlib_module_names)
+import numpy, click, yaml
+before = loaded()
+import stdlens, stdlens.cli
+print(" ".join(sorted(loaded() - before - {"stdlens"})))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_dumped_stream_round_trips_byte_for_byte(tiny_yaml, tmp_path):

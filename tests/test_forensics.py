@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from stdlens.detection import DetectorWeights
 from stdlens.forensics import (GradientContribution, SpatialProjection,
@@ -58,12 +57,49 @@ def test_projection_matches_dense_eigensolver():
     proj = spatial_project(blocks)
     centered = blocks - blocks.mean(axis=0)
     cov = centered.T @ centered / 19
-    vals = scipy.linalg.eigvalsh(cov)
+    vals = np.linalg.eigvalsh(cov)
     assert proj.eigenvalues[0] == pytest.approx(vals[-1], rel=1e-9)
     assert proj.eigenvalues[1] == pytest.approx(vals[-2], rel=1e-9)
     # sample variance of SSC1 equals the top eigenvalue
     assert proj.ssc[:, 0].var(ddof=1) == pytest.approx(proj.eigenvalues[0],
                                                        rel=1e-6)
+
+
+def _unit_rows(rng, n, dim):
+    rows = rng.standard_normal((n, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("blocks", [
+    make_rng(11, "gram").standard_normal((12, 40)),
+    _unit_rows(make_rng(12, "gram"), 90, 288),
+], ids=["12x40-gaussian", "90x288-unit"])
+def test_projection_with_fewer_rows_than_dims_matches_dense_covariance(blocks):
+    # n < dim takes the Gram branch; the oracle solves the dim x dim covariance
+    n = len(blocks)
+    centered = blocks - blocks.mean(axis=0)
+    vals, vecs = np.linalg.eigh(centered.T @ centered / (n - 1))
+    proj = spatial_project(blocks)
+    for axis in range(2):
+        want_val, want_vec = vals[-1 - axis], vecs[:, -1 - axis]
+        assert proj.eigenvalues[axis] == pytest.approx(want_val, rel=1e-10)
+        cos = np.dot(proj.eigenvectors[axis], want_vec)
+        assert abs(cos) >= 1 - 1e-10
+        assert np.allclose(proj.ssc[:, axis], np.sign(cos) * centered @ want_vec,
+                           rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("blocks", [
+    np.linspace(-1, 1, 6)[:, None] * make_rng(13, "gram").standard_normal(30),
+    np.tile(make_rng(14, "gram").standard_normal(30), (6, 1)),
+], ids=["rank-1", "all-equal"])
+def test_degenerate_projection_with_fewer_rows_than_dims(blocks):
+    proj = spatial_project(blocks)
+    assert proj.degenerate
+    assert proj.eigenvalues[1] == 0.0
+    assert not proj.ssc[:, 1].any()
+    assert np.isfinite(proj.ssc).all()
+    assert np.isfinite(proj.eigenvectors).all()
 
 
 def test_projection_preserves_planar_distances():
