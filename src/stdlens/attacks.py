@@ -77,21 +77,19 @@ def poison_objn(dataset: ClientDataset, source: int, background_class: int,
 
 
 def apply_poison(spec: AttackSpec, dataset: ClientDataset, rng: np.random.Generator,
-                 background_class: int | None = None, sample_mask=None) -> ClientDataset:
+                 background_class: int, sample_mask=None) -> ClientDataset:
     if spec.poison_type == "class":
         return poison_class(dataset, spec.source_class, spec.target_class, sample_mask)
     if spec.poison_type == "bbox":
         return poison_bbox(dataset, spec.source_class, SHRINK_FACTOR, rng, sample_mask)
     if spec.poison_type == "objn":
-        if background_class is None:
-            background_class = int(dataset.classes.max())
         return poison_objn(dataset, spec.source_class, background_class, sample_mask)
     raise ValueError(f"unknown poison type {spec.poison_type!r}")
 
 
 def effective_poison_for_round(spec: AttackSpec, client_id: int, round_idx: int,
                                dataset: ClientDataset, master_seed: int,
-                               background_class: int | None = None):
+                               background_class: int):
     """Per-round poisoning decision for one malicious client.
 
     Returns (dataset, poisoned_this_round, poisoned_sample_indices).

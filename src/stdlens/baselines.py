@@ -30,19 +30,16 @@ def defense_spatial_smaller_cluster(contributions_per_class: dict,
     """
     revoked: set[int] = set()
     projections = {
-        c: spatial_project(np.stack([g.block for g in contribs]),
-                           client_ids=[g.client_id for g in contribs],
-                           rounds=[g.round for g in contribs], class_id=c)
+        c: spatial_project(np.stack([g.block for g in contribs]))
         for c, contribs in contributions_per_class.items() if len(contribs) >= 3}
-    flagged = flag_suspect_classes(projections)
-    for c in flagged:
-        proj = projections[c]
-        labels = cluster_2d(proj.ssc, "kmeans", 2, derive_seed(seed, "spatial-bl", c))
+    for c in flag_suspect_classes(projections):
+        labels = cluster_2d(projections[c].ssc, "kmeans", 2,
+                            derive_seed(seed, "spatial-bl", c))
         n0, n1 = int((labels == 0).sum()), int((labels == 1).sum())
         if n0 == n1:
             continue
         smaller = 0 if n0 < n1 else 1
-        revoked |= {int(cid) for cid, lab in zip(proj.client_ids, labels)
+        revoked |= {int(g.client_id) for g, lab in zip(contributions_per_class[c], labels)
                     if lab == smaller}
     return sorted(revoked)
 
@@ -79,12 +76,11 @@ class SpatialClusterDefense(WindowedDefense):
                  block_dim: int | None = None):
         super().__init__(num_classes, window, block_dim)
         self.seed = seed
-        self._windows = 0
 
     def _decide(self, window):
-        self._windows += 1
+        # seeded by the closing window's index, so a skipped window shifts no seed
         return defense_spatial_smaller_cluster(
-            window, derive_seed(self.seed, "spatial-window", self._windows)), []
+            window, derive_seed(self.seed, "spatial-window", self._open + 1)), []
 
 
 class SpectralSignatureDefense(WindowedDefense):

@@ -84,10 +84,6 @@ class FederationConfig:
     def num_malicious(self) -> int:
         return int(round(self.malicious_fraction * self.num_clients))
 
-    @property
-    def sigma_z(self) -> float:
-        return CONFIDENCE_TO_Z[self.confidence_level]
-
 
 @dataclass(frozen=True)
 class TaskConfig:

@@ -90,9 +90,6 @@ class RunLog:
     def revocation_history(self) -> list[tuple[int, int]]:
         return [(r.round, c) for r in self.records for c in r.revocations]
 
-    def ap_curve(self, class_id: int) -> list[float | None]:
-        return [r.ap.get(class_id) for r in self.records]
-
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(json.dumps({"roles": {str(k): v for k, v in self.roles.items()}},

@@ -6,12 +6,13 @@ Three-tier pipeline run at every forensic window boundary:
    onto the top-2 eigenvectors of their covariance; a class whose
    projection splits into two well-separated 1D clusters is flagged.
 2. temporal signatures: per client and per cluster, the windowed average
-   pairwise dissimilarity of the client's trajectory; the cluster with
-   the lower mean score is the suspicious one.
-3. sigma-density uncertainty: empirical-rule confidence intervals per
-   cluster on the first spatial component and on the temporal scores;
-   points between the two intervals are uncertain and only feed a
-   watchlist instead of triggering immediate revocation.
+   pairwise dissimilarity of the client's round-ordered trajectory; the
+   cluster with the lower mean score is the suspicious one.
+3. sigma-density uncertainty: empirical-rule intervals mean +- z*sd per
+   cluster, on the first spatial component and on the client-level
+   temporal scores; a point in the open gap between the two intervals,
+   or off the mean of a zero-spread cluster, is uncertain and only feeds
+   a watchlist instead of triggering immediate revocation.
 
 Five local decision paths ride on the tiers. Removing any one of them
 fails an acceptance criterion or drops it to its floor:
@@ -35,7 +36,6 @@ from .seeding import derive_seed
 __all__ = [
     "GradientContribution",
     "SpatialProjection",
-    "SigmaZones",
     "ClientDossier",
     "extract_class_gradient_block",
     "update_contributions",
@@ -46,6 +46,7 @@ __all__ = [
     "kmeans",
     "cluster_2d",
     "temporal_signature",
+    "trajectory_signatures",
     "identify_suspicious_cluster",
     "sigma_zone_partition",
     "unit_norm",
@@ -94,9 +95,6 @@ def update_contributions(update, num_classes: int) -> list[GradientContribution]
 
 @dataclass
 class SpatialProjection:
-    class_id: int
-    client_ids: np.ndarray      # (n,)
-    rounds: np.ndarray          # (n,)
     ssc: np.ndarray             # (n, 2) coordinates on (SSC1, SSC2)
     eigenvalues: np.ndarray     # (2,) descending
     eigenvectors: np.ndarray    # (2, dim) rows = v1, v2
@@ -125,8 +123,7 @@ def covariance_top_eigh(samples: np.ndarray, k: int):
     return centered, vals[d - k:], vecs[:, d - k:]
 
 
-def spatial_project(blocks: np.ndarray, client_ids=None, rounds=None,
-                    class_id: int = -1) -> SpatialProjection:
+def spatial_project(blocks: np.ndarray) -> SpatialProjection:
     """Project gradient blocks onto their top-2 covariance eigenvectors.
 
     Signs are canonicalized so the coordinate of largest magnitude on
@@ -153,11 +150,7 @@ def spatial_project(blocks: np.ndarray, client_ids=None, rounds=None,
         if ssc[i, axis] < 0:
             ssc[:, axis] = -ssc[:, axis]
             vecs[axis] = -vecs[axis]
-    return SpatialProjection(
-        class_id=class_id,
-        client_ids=np.asarray(client_ids if client_ids is not None else np.zeros(n, int)),
-        rounds=np.asarray(rounds if rounds is not None else np.arange(n)),
-        ssc=ssc, eigenvalues=vals, eigenvectors=vecs, degenerate=degenerate)
+    return SpatialProjection(ssc, vals, vecs, degenerate)
 
 
 def two_means_1d(values) -> np.ndarray:
@@ -237,8 +230,6 @@ def flag_suspect_classes(projections: dict) -> set:
     flagged = set()
     for class_id, proj in projections.items():
         x = proj.ssc[:, 0]
-        if len(x) < 3:
-            continue
         labels = two_means_1d(x)
         lo, hi = x[labels == 0], x[labels == 1]
         if len(hi) and (abs(lo.mean() - hi.mean()) / (lo.std() + hi.std() + 1e-12)
@@ -267,6 +258,16 @@ def temporal_signature(trajectory: np.ndarray, omega: int):
     return total / (omega * n - omega * omega)
 
 
+def trajectory_signatures(client_ids, rounds, points, omega: int) -> dict:
+    """Temporal signature of each client's trajectory of points in round
+    order (a stable sort), for the clients with more than `omega` points."""
+    trajectories: dict[int, list] = {}
+    for i in np.argsort(rounds, kind="stable"):
+        trajectories.setdefault(int(client_ids[i]), []).append(points[i])
+    return {cid: temporal_signature(np.array(t), omega)
+            for cid, t in trajectories.items() if len(t) > omega}
+
+
 def identify_suspicious_cluster(per_cluster_signatures: dict, cluster_sizes: dict):
     """Cluster with the lower mean temporal signature; ties go to the
     smaller cluster. Returns None (defer) if either cluster has no client
@@ -286,54 +287,36 @@ def identify_suspicious_cluster(per_cluster_signatures: dict, cluster_sizes: dic
     return a if means[a] < means[b] else b
 
 
-@dataclass
-class SigmaZones:
-    z: float
-    means: dict
-    stds: dict
-    intervals: dict                      # cluster -> (lo, hi)
-    uncertain: Optional[tuple] = None    # (lo, hi) open interval, or None
-
-
 def sigma_zone_partition(values: np.ndarray, assignments: np.ndarray,
-                         confidence: float):
-    """Empirical-rule confidence zones on a 1D coordinate.
+                         confidence: float) -> np.ndarray:
+    """Per-point uncertainty under empirical-rule zones on a 1D coordinate.
 
-    Returns (SigmaZones, labels) with per-point labels in
-    {"confident-<k>", "uncertain", "outside"}. The uncertain zone is the
-    open gap between the two clusters' intervals; overlapping intervals
-    leave it empty.
+    Each cluster's interval is mean +- z*sd. A point is uncertain when it
+    lies in the open gap between the two clusters' intervals (overlapping
+    intervals leave none), or when its cluster has zero spread and the
+    point is off that cluster's mean. A point inside its own interval can
+    never lie in the gap.
     """
     if confidence not in CONFIDENCE_TO_Z:
         raise ValueError("confidence must be one of 0.68, 0.95, 0.99")
     z = CONFIDENCE_TO_Z[confidence]
     values = np.asarray(values, dtype=float)
     assignments = np.asarray(assignments)
-    clusters = sorted(set(assignments.tolist()))
-    means, stds, intervals = {}, {}, {}
-    for c in clusters:
-        pts = values[assignments == c]
-        means[c] = float(pts.mean())
-        stds[c] = float(pts.std(ddof=1)) if len(pts) >= 2 else 0.0
-        intervals[c] = (means[c] - z * stds[c], means[c] + z * stds[c])
-    uncertain = None
-    if len(clusters) == 2:
-        (l0, h0), (l1, h1) = intervals[clusters[0]], intervals[clusters[1]]
-        lo, hi = (h0, l1) if means[clusters[0]] <= means[clusters[1]] else (h1, l0)
-        if lo < hi:
-            uncertain = (lo, hi)
-    labels = []
-    for v, c in zip(values, assignments):
-        lo_c, hi_c = intervals[c]
-        if stds[c] == 0.0 and v != means[c]:
-            labels.append("uncertain")
-        elif lo_c <= v <= hi_c:
-            labels.append(f"confident-{c}")
-        elif uncertain is not None and uncertain[0] < v < uncertain[1]:
-            labels.append("uncertain")
-        else:
-            labels.append("outside")
-    return SigmaZones(z, means, stds, intervals, uncertain), labels
+    uncertain = np.zeros(len(values), dtype=bool)
+    intervals = []                       # (mean, lo, hi) per cluster, sorted
+    for c in sorted(set(assignments.tolist())):
+        mine = assignments == c
+        pts = values[mine]
+        mean = float(pts.mean())
+        sd = float(pts.std(ddof=1)) if len(pts) >= 2 else 0.0
+        if sd == 0.0:
+            uncertain[mine] = pts != mean
+        intervals.append((mean, mean - z * sd, mean + z * sd))
+    if len(intervals) == 2:
+        (m0, l0, h0), (m1, l1, h1) = intervals
+        lo, hi = (h0, l1) if m0 <= m1 else (h1, l0)
+        uncertain |= (lo < values) & (values < hi)
+    return uncertain
 
 
 def _population_radius(rest: np.ndarray, z: float):
@@ -356,7 +339,6 @@ def _near_exemplar(pts: np.ndarray, exemplars, center: np.ndarray,
 
 @dataclass
 class ClientDossier:
-    client_id: int
     watchlist_count: int = 0
     verdict: str = "active"              # active | watchlisted | revoked
 
@@ -380,9 +362,11 @@ class WindowedDefense:
     blocks, drops revoked clients and malformed contributions (a block not
     of shape `(block_dim,)` when `block_dim` is given, non-finite block,
     class id out of range, an admitted entry above MAX_BLOCK_ENTRY in
-    magnitude), buffers per class, counts rounds and every `window` rounds
-    hands the buffer to `_decide`, which returns (clients to revoke,
-    watchlist events). No client is revoked twice."""
+    magnitude, a round other than the one observed, a repeat of an admitted
+    (client, round, class) triple), buffers per class, and hands each
+    window of `window` rounds, keyed on `round // window`, to `_decide`,
+    which returns (clients to revoke, watchlist events). No client is
+    revoked twice."""
 
     def __init__(self, num_classes: int, window: int,
                  block_dim: Optional[int] = None):
@@ -392,7 +376,9 @@ class WindowedDefense:
         self.revoked: set[int] = set()
         self._current: dict[int, list[GradientContribution]] = {
             c: [] for c in range(num_classes)}
-        self._rounds_seen = 0
+        self._seen: set[tuple] = set()   # admitted (client, round, class) triples
+        self._open = 0                   # index of the open window
+        self.clients: set[int] = set()   # clients with an admitted contribution
 
     def observe_round(self, round_idx: int, updates) -> tuple[list[int], list[int]]:
         """Engine hook: consume raw client updates for one round."""
@@ -402,9 +388,18 @@ class WindowedDefense:
 
     def observe_contributions(self, round_idx: int, contributions
                               ) -> tuple[list[int], list[int]]:
-        """Replay-mode hook: consume pre-extracted gradient contributions."""
+        """Replay-mode hook: consume the contributions of round `round_idx`.
+        A round before the open window is dropped, and a round of a later
+        window first closes the open one."""
+        index = round_idx // self.window
+        if index < self._open:
+            return [], []
+        verdicts = self.window_step() if index > self._open else ([], [])
+        self._open = index
         for g in contributions:
-            if (g.client_id in self.revoked
+            triple = (g.client_id, g.round, g.class_id)
+            if (g.round != round_idx or triple in self._seen
+                    or g.client_id in self.revoked
                     or not 0 <= g.class_id < self.num_classes
                     or (self.block_dim is not None
                         and np.shape(g.block) != (self.block_dim,))
@@ -413,15 +408,19 @@ class WindowedDefense:
             g = self._admit(g)
             if np.abs(g.block).max(initial=0.0) <= MAX_BLOCK_ENTRY:
                 self._current[g.class_id].append(g)
-        self._rounds_seen += 1
-        if self._rounds_seen % self.window == 0:
-            return self.window_step()
-        return [], []
+                self._seen.add(triple)
+                self.clients.add(g.client_id)
+        if round_idx % self.window == self.window - 1:   # the window's last round
+            revocations, watchlist_events = self.window_step()
+            self._open = index + 1
+            verdicts = (verdicts[0] + revocations, verdicts[1] + watchlist_events)
+        return verdicts
 
     def window_step(self) -> tuple[list[int], list[int]]:
         """Close the window: decide on the buffered contributions."""
         window = self._current
         self._current = {c: [] for c in range(self.num_classes)}
+        self._seen = set()
         revocations, watchlist_events = self._decide(window)
         revocations = sorted(set(revocations) - self.revoked)
         self.revoked.update(revocations)
@@ -469,23 +468,26 @@ class StdLensDefense(WindowedDefense):
 
     def _decide(self, window) -> tuple[list[int], list[int]]:
         """Run the three-tier pipeline on the window."""
-        projections = {
-            c: spatial_project(np.stack([g.block for g in contribs]),
-                               client_ids=[g.client_id for g in contribs],
-                               rounds=[g.round for g in contribs], class_id=c)
-            for c, contribs in window.items() if len(contribs) >= 3}
+        # each class once as (client ids, rounds, blocks) arrays
+        classes = {c: (np.array([g.client_id for g in contribs]),
+                       np.array([g.round for g in contribs]),
+                       np.stack([g.block for g in contribs]))
+                   for c, contribs in window.items() if contribs}
+        projections = {c: spatial_project(blocks)
+                       for c, (ids, _, blocks) in classes.items() if len(ids) >= 3}
         flagged = flag_suspect_classes(projections)
 
-        to_revoke: set[int] = self._exemplar_matches(window)
-        uncertain_clients: set[int] = self._temporal_strikes(window)
+        to_revoke: set[int] = self._exemplar_matches(classes)
+        uncertain_clients: set[int] = self._temporal_strikes(classes)
         for c in sorted(flagged):
-            revoked_c, uncertain_c = self._analyze_class(projections[c], window[c])
+            revoked_c, uncertain_c = self._analyze_class(c, *classes[c],
+                                                         projections[c].ssc)
             to_revoke |= revoked_c
             uncertain_clients |= uncertain_c
 
         watchlist_events = []
         for cid in sorted(uncertain_clients - self.revoked):
-            dossier = self.dossiers.setdefault(cid, ClientDossier(cid))
+            dossier = self.dossiers.setdefault(cid, ClientDossier())
             dossier.watchlist_count += 1
             dossier.verdict = "watchlisted"
             watchlist_events.append(cid)
@@ -494,16 +496,16 @@ class StdLensDefense(WindowedDefense):
 
         revocations = sorted(to_revoke - self.revoked)
         for cid in revocations:
-            self.dossiers.setdefault(cid, ClientDossier(cid)).verdict = "revoked"
+            self.dossiers.setdefault(cid, ClientDossier()).verdict = "revoked"
         if revocations:
             # an attacker's blocks in classes its poison does not touch look
             # honest; the outside-the-population-radius requirement inside
             # _record_exemplars keeps those out of the archive, so every
             # class may contribute exemplars
-            self._record_exemplars(window, revocations)
+            self._record_exemplars(classes, revocations)
         return revocations, watchlist_events
 
-    def _exemplar_matches(self, window) -> set[int]:
+    def _exemplar_matches(self, classes) -> set[int]:
         """Clients sitting practically on a confirmed poison direction.
 
         One or two lingering attackers cannot drive a class flag or the
@@ -517,12 +519,10 @@ class StdLensDefense(WindowedDefense):
                    if d.verdict == "watchlisted"}
         z = CONFIDENCE_TO_Z[self.confidence]
         matches: set[int] = set()
-        for c, contribs in window.items():
+        for c, (ids, _, blocks) in classes.items():
             exemplars = self._exemplars.get(c)
-            if not exemplars or len(contribs) < 4:
+            if not exemplars or len(ids) < 4:
                 continue
-            ids = np.array([g.client_id for g in contribs])
-            blocks = np.stack([g.block for g in contribs])
             on_list = np.array([cid in watched for cid in ids])
             for cid in set(ids.tolist()):
                 mine = ids == cid
@@ -536,7 +536,7 @@ class StdLensDefense(WindowedDefense):
                     matches.add(cid)
         return matches
 
-    def _temporal_strikes(self, window) -> set[int]:
+    def _temporal_strikes(self, classes) -> set[int]:
         """Per-client repetitiveness scrutiny, independent of clustering.
 
         A replayed poison payload produces a far more repetitive block
@@ -546,34 +546,24 @@ class StdLensDefense(WindowedDefense):
         half the population median collects a watchlist strike.
         """
         strikes: set[int] = set()
-        for contribs in window.values():
-            by_client: dict[int, list] = {}
-            for g in sorted(contribs, key=lambda g: g.round):
-                by_client.setdefault(g.client_id, []).append(g.block)
-            sigs = {cid: temporal_signature(np.array(t), self.omega)
-                    for cid, t in by_client.items() if len(t) > self.omega}
-            defined = {cid: v for cid, v in sigs.items() if v is not None}
-            if len(defined) < 4:
+        for ids, rounds, blocks in classes.values():
+            sigs = trajectory_signatures(ids, rounds, blocks, self.omega)
+            if len(sigs) < 4:
                 continue
-            med = float(np.median(list(defined.values())))
-            if med <= 0:
-                continue
-            for cid, v in defined.items():
-                if v <= TEMPORAL_CONTRAST * med:
-                    strikes.add(cid)
+            med = float(np.median(list(sigs.values())))
+            if med > 0:
+                strikes |= {cid for cid, v in sigs.items()
+                            if v <= TEMPORAL_CONTRAST * med}
         return strikes
 
-    def _record_exemplars(self, window, revoked) -> None:
+    def _record_exemplars(self, classes, revoked) -> None:
         """Archive the mean block direction of each freshly revoked client
         for the classes where it actually stood apart from the population."""
         z = CONFIDENCE_TO_Z[self.confidence]
-        for c, contribs in window.items():
-            if len(contribs) < 4:
+        for c, (ids, _, blocks) in classes.items():
+            if len(ids) < 4:
                 continue
-            ids = np.array([g.client_id for g in contribs])
-            blocks = np.stack([g.block for g in contribs])
-            rev_mask = np.array([cid in revoked for cid in ids])
-            rest = blocks[~rev_mask]
+            rest = blocks[~np.isin(ids, revoked)]
             if len(rest) < 3:
                 continue
             center, radius = _population_radius(rest, z)
@@ -585,43 +575,32 @@ class StdLensDefense(WindowedDefense):
                 if np.linalg.norm(mean - center) > radius:
                     self._exemplars.setdefault(c, []).append(mean)
 
-    def _analyze_class(self, proj: SpatialProjection, contribs):
+    def _analyze_class(self, class_id: int, ids: np.ndarray, rounds: np.ndarray,
+                       blocks: np.ndarray, ssc: np.ndarray):
         """Tiers 2 and 3 for one flagged class, on the SSC1 2-means split
         that flagged it. Returns (revoked client ids, uncertain client
         ids), both empty when a cluster has no defined temporal signature."""
-        x = proj.ssc[:, 0]
+        x = ssc[:, 0]
         labels = two_means_1d(x)
-        clusters = sorted(set(labels.tolist()))
-
-        # per-client, per-cluster time-ordered trajectories
-        order = np.argsort(proj.rounds, kind="stable")
-        traj: dict[int, dict[int, list]] = {c: {} for c in clusters}
-        for i in order:
-            cid = int(proj.client_ids[i])
-            traj[labels[i]].setdefault(cid, []).append(proj.ssc[i])
-
-        sigs = {c: {cid: temporal_signature(np.array(t), self.omega)
-                    for cid, t in traj[c].items()}
+        clusters = (0, 1)
+        sigs = {c: trajectory_signatures(ids[labels == c], rounds[labels == c],
+                                         ssc[labels == c], self.omega)
                 for c in clusters}
         sizes = {c: int((labels == c).sum()) for c in clusters}
         suspicious = identify_suspicious_cluster(sigs, sizes)
         if suspicious is None:
             return set(), set()
 
-        _, point_labels = sigma_zone_partition(x, labels, self.confidence)
+        point_uncertain = sigma_zone_partition(x, labels, self.confidence)
         # a decided suspicious cluster means both clusters have a signature
-        mean_sig = {c: float(np.mean([v for v in sigs[c].values() if v is not None]))
-                    for c in clusters}
-        other = next(c for c in clusters if c != suspicious)
+        mean_sig = {c: float(np.mean(list(sigs[c].values()))) for c in clusters}
+        other = 1 - suspicious
         strong_contrast = (mean_sig[suspicious]
                            <= TEMPORAL_CONTRAST * mean_sig[other])
 
         client_sig, client_cluster = {}, {}
-        for cid in set(int(c) for c in proj.client_ids):
-            defined = {c: sigs[c][cid] for c in clusters
-                       if cid in sigs[c] and sigs[c][cid] is not None}
-            if not defined:
-                continue
+        for cid in sigs[0].keys() | sigs[1].keys():
+            defined = {c: sigs[c][cid] for c in clusters if cid in sigs[c]}
             best = min(defined, key=lambda c: (defined[c], sizes[c]))
             client_sig[cid] = defined[best]
             client_cluster[cid] = best
@@ -631,26 +610,21 @@ class StdLensDefense(WindowedDefense):
         sig_clients = sorted(client_sig)
         if len(sig_clients) >= 4 and len(set(client_sig.values())) >= 2:
             vals = np.array([client_sig[cid] for cid in sig_clients])
-            _, t_zone_labels = sigma_zone_partition(vals, two_means_1d(vals),
-                                                    self.confidence)
-            temporal_uncertain = {cid for cid, lab in zip(sig_clients, t_zone_labels)
-                                  if lab == "uncertain"}
+            t_uncertain = sigma_zone_partition(vals, two_means_1d(vals),
+                                               self.confidence)
+            temporal_uncertain = {cid for cid, u in zip(sig_clients, t_uncertain) if u}
 
-        spatially_uncertain: set[int] = set()
-        client_points_ok: dict[int, bool] = {}
-        for i, lab in enumerate(point_labels):
-            cid = int(proj.client_ids[i])
-            if lab == "uncertain":
-                spatially_uncertain.add(cid)
-            if labels[i] == suspicious:
-                ok = client_points_ok.get(cid, True) and lab != "uncertain"
-                client_points_ok[cid] = ok
+        # clients whose every point in the suspicious cluster is confident
+        in_suspicious = labels == suspicious
+        spatially_uncertain = set(ids[point_uncertain].tolist())
+        points_ok = (set(ids[in_suspicious].tolist())
+                     - set(ids[in_suspicious & point_uncertain].tolist()))
 
         # the cluster-level contrast can hide one honest client whose own
         # trajectory is no more repetitive than the benign cluster's
         # average; cluster membership alone is not enough evidence there
         revoked = {cid for cid, cl in client_cluster.items()
-                   if cl == suspicious and client_points_ok.get(cid, False)
+                   if cl == suspicious and cid in points_ok
                    and cid not in temporal_uncertain
                    and client_sig[cid] <= TEMPORAL_CONTRAST * mean_sig[other]}
 
@@ -662,8 +636,7 @@ class StdLensDefense(WindowedDefense):
         # clients sitting confidently in the suspicious cluster whose
         # trajectory is too short for a temporal signature: not enough
         # evidence to revoke, enough to watchlist
-        no_signature_suspects = ({cid for cid, ok in client_points_ok.items()
-                                  if ok and cid not in client_cluster}
+        no_signature_suspects = (points_ok - client_cluster.keys()
                                  if minority_suspect else set())
         uncertain = spatially_uncertain | temporal_uncertain | no_signature_suspects
         if not strong_contrast:
@@ -676,11 +649,9 @@ class StdLensDefense(WindowedDefense):
         # once this class has confirmed poison directions, an honest
         # outlier that merely drifted into the suspicious cluster should
         # not be revoked on cluster membership alone
-        exemplars = self._exemplars.get(proj.class_id)
+        exemplars = self._exemplars.get(class_id)
         if exemplars and revoked:
-            blocks = np.stack([g.block for g in contribs])
-            ids = np.array([g.client_id for g in contribs])
-            center = blocks[labels != suspicious].mean(axis=0)
+            center = blocks[~in_suspicious].mean(axis=0)
             for cid in sorted(revoked):
                 if not _near_exemplar(blocks[ids == cid], exemplars, center, 0.9).all():
                     # failing to match any confirmed poison direction is

@@ -47,28 +47,35 @@ def write_contributions(path, stream) -> None:
 
 
 def read_stream(path):
-    """Load a dumped stream, grouped by round in ascending order."""
+    """Load a dumped stream, grouped by round in ascending order. The file
+    is untrusted: only a JSON object whose `round`, `client_id` and
+    `class_id` are ints (not bools) and whose `block` converts to a float
+    array is kept; any other line is dropped."""
     by_round: dict[int, list] = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for line in fh:
-            rec = json.loads(line)
-            g = GradientContribution(rec["client_id"], rec["round"],
-                                     rec["class_id"], np.asarray(rec["block"]))
-            by_round.setdefault(g.round, []).append(g)
+            try:
+                rec = json.loads(line)
+                ids = rec["round"], rec["client_id"], rec["class_id"]
+                block = np.asarray(rec["block"], dtype=float)
+            except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+                continue
+            if all(type(v) is int for v in ids):
+                g = GradientContribution(ids[1], ids[0], ids[2], block)
+                by_round.setdefault(g.round, []).append(g)
     return [by_round[r] for r in sorted(by_round)]
 
 
 def replay_stream(defense, stream):
     """Feed a recorded stream to a defense; returns revocations as
-    (round, client_id) pairs plus the final verdict per client."""
+    (round, client_id) pairs plus the final verdict of each client the
+    defense admitted a contribution from."""
     events = []
-    clients = set()
     for round_contribs in stream:
         rnd = round_contribs[0].round if round_contribs else 0
-        clients |= {g.client_id for g in round_contribs}
         revoked, _ = defense.observe_contributions(rnd, round_contribs)
         events += [(rnd, cid) for cid in revoked]
     revoked_ids = {cid for _, cid in events}
     verdicts = {cid: ("revoked" if cid in revoked_ids else "active")
-                for cid in sorted(clients)}
+                for cid in sorted(defense.clients)}
     return events, verdicts

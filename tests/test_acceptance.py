@@ -24,6 +24,8 @@ from stdlens.robust import (random_premise_mixture, separability_check,
                             synth_two_population_stream, theorem1_premise_holds)
 from stdlens.seeding import make_rng
 
+pytestmark = pytest.mark.gate
+
 SEEDS = list(range(1, 11))
 N_MALICIOUS = 10
 SOURCE = 0

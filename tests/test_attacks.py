@@ -195,4 +195,4 @@ def test_apply_poison_rejects_unknown_type():
     spec = AttackSpec(poison_type="class")
     object.__setattr__(spec, "poison_type", "pixel")
     with pytest.raises(ValueError):
-        apply_poison(spec, _dataset(), make_rng(0, "x"))
+        apply_poison(spec, _dataset(), make_rng(0, "x"), background_class=BG)

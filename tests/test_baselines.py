@@ -86,32 +86,75 @@ def test_spatial_wrapper_ignores_revoked_clients():
         assert revoked_total.count(99) <= 1
 
 
-@pytest.mark.parametrize("make", [
+MAKERS = [
     lambda: _stdlens(window=5, block_dim=6),
     lambda: SpatialClusterDefense(num_classes=1, window=5, block_dim=6),
     lambda: SpectralSignatureDefense(num_classes=1, window=5, removal_fraction=0.2,
                                      block_dim=6),
-], ids=["stdlens", "spatial", "spectral"])
+]
+MAKER_IDS = ["stdlens", "spatial", "spectral"]
+
+
+def _payload_stream(rng, rounds=10):
+    """Ten honest clients and client 99 replaying one payload, per round."""
+    payload = np.full(6, 20.0)
+    return [[GradientContribution(cid, r, 0, rng.standard_normal(6)) for cid in range(10)]
+            + [GradientContribution(99, r, 0, payload + 0.01 * rng.standard_normal(6))]
+            for r in range(rounds)]
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
 def test_malformed_contributions_are_dropped_at_ingestion(make):
     rng = make_rng(5, "bl")
-    payload = np.full(6, 20.0)
-    stream = []
-    for r in range(10):
-        contribs = [GradientContribution(cid, r, 0, rng.standard_normal(6))
-                    for cid in range(10)]
-        contribs.append(GradientContribution(99, r, 0,
-                                             payload + 0.01 * rng.standard_normal(6)))
-        stream.append(contribs)
+    stream = _payload_stream(rng)
     nan_block, inf_block = rng.standard_normal(6), rng.standard_normal(6)
     nan_block[2], inf_block[4] = np.nan, -np.inf
-    extra = {1: GradientContribution(3, 1, 0, nan_block),
-             3: GradientContribution(4, 3, 0, np.full(6, 1e200)),
-             6: GradientContribution(5, 6, 0, inf_block),
-             7: GradientContribution(2, 7, 99, rng.standard_normal(6)),
-             8: GradientContribution(6, 8, 0, np.array([1.0, 2.0]))}
+    malformed = {1: [GradientContribution(3, 1, 0, nan_block)],
+                 3: [GradientContribution(4, 3, 0, np.full(6, 1e200))],
+                 6: [GradientContribution(5, 6, 0, inf_block)],
+                 7: [GradientContribution(2, 7, 99, rng.standard_normal(6))],
+                 8: [GradientContribution(6, 8, 0, np.array([1.0, 2.0]))]}
+    # honest client 0 repeats its triple and client 1 sends a block for the
+    # next round, both on the payload
+    repeats = [[GradientContribution(cid, rnd, 0,
+                                     np.full(6, 20.0) + 0.01 * rng.standard_normal(6))
+                for cid, rnd in ((0, r), (1, r + 1))] for r in range(10)]
     clean, dirty = make(), make()
     clean_verdicts = [clean.observe_contributions(r, c) for r, c in enumerate(stream)]
-    dirty_verdicts = [dirty.observe_contributions(r, c + [extra[r]] if r in extra else c)
+    # each malformed block comes before the honest record of its (client,
+    # round, class) triple, so only its own check can keep it out
+    dirty_verdicts = [dirty.observe_contributions(r, malformed.get(r, []) + c + repeats[r])
                       for r, c in enumerate(stream)]
     assert any(revoked for revoked, _ in clean_verdicts)
     assert dirty_verdicts == clean_verdicts
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_infinite_block_is_dropped_before_it_is_scaled():
+    # the entry bound alone would drop it too, but only after unit-norm
+    # scaling had divided inf by inf
+    block = np.ones(6)
+    block[2] = -np.inf
+    defense = StdLensDefense(num_classes=1, window=5, omega=1, confidence=0.99)
+    assert defense.observe_contributions(0, [GradientContribution(0, 0, 0, block)]) == ([], [])
+    assert defense.clients == set()
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+def test_windows_follow_the_round_index(make):
+    stream = _payload_stream(make_rng(6, "bl"))
+    # the reference sees round 4, the last of window 0, without contributions
+    reference = make()
+    want = [reference.observe_contributions(r, [] if r == 4 else c)
+            for r, c in enumerate(stream)]
+    assert want[4][0]
+    # round 4 never comes, so round 5 closes window 0; round -1 and a late
+    # round 2 fall before the open window and are dropped
+    calls = ([(-1, [GradientContribution(0, -1, 0, np.full(6, 20.0))])]
+             + [(r, stream[r]) for r in (0, 1, 2, 3, 5)] + [(2, stream[2])]
+             + [(r, stream[r]) for r in (6, 7, 8, 9)])
+    defense = make()
+    got = {i: defense.observe_contributions(r, c) for i, (r, c) in enumerate(calls)}
+    assert got.pop(5) == want[4]
+    assert got.pop(10) == want[9]
+    assert all(v == ([], []) for v in got.values())

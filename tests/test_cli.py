@@ -156,14 +156,41 @@ def test_stream_dump_and_replay(tiny_yaml, tmp_path, defense):
     assert [(r["round"], r["client_id"]) for r in verdicts["revocations"]] == live
 
 
-def _replay_with_hostile_record(tiny_yaml, tmp_path, record):
-    """verdicts.json bytes of replaying a dumped tiny stream, without and
-    with one extra record."""
+def _record(**fields):
+    """Extra lines: one record of tiny-config shape (a 6*A*d = 120-entry
+    block) with `fields` set; a field set to ... is left out."""
+    rec = {"round": 0, "client_id": 0, "class_id": 1, "block": [0.5] * 120, **fields}
+    return lambda lines: [json.dumps({k: v for k, v in rec.items() if v is not ...})]
+
+
+@pytest.mark.parametrize("extra", [
+    # the stream is untrusted: a huge class id must not size the defense
+    _record(class_id=10 ** 9),
+    # the block length comes from the config, not the stream
+    _record(block=[1.0, 2.0]),
+    _record(class_id="1"),
+    _record(round="0"),
+    _record(block=...),
+    lambda lines: ["{not json"],
+    lambda lines: ["[" * 100_000 + "]" * 100_000],
+    # a round before the first window must not shift the window boundaries
+    _record(round=-1),
+    # honest client 7's records once more: only the first of a triple counts
+    lambda lines: [line for line in lines if json.loads(line)["client_id"] == 7],
+    # a dropped record must not give an unknown client a verdict
+    _record(client_id=999, class_id=10 ** 9),
+], ids=["huge-class-id", "wrong-length", "string-class-id", "string-round",
+        "missing-block", "not-json", "deeply-nested", "round-before-the-first-window",
+        "repeated-records", "dropped-record-of-an-unknown-client"])
+def test_replay_ignores_hostile_lines(tiny_yaml, tmp_path, extra):
     out = tmp_path / "run"
     _invoke("run", "--config", tiny_yaml, "--out", str(out), "--dump-stream")
     clean = out / "gradient_stream.jsonl"
+    lines = clean.read_text().splitlines()
     hostile = tmp_path / "hostile.jsonl"
-    hostile.write_text(clean.read_text() + json.dumps(record) + "\n")
+    # the extra lines come first, so each precedes any honest record of
+    # its (client, round, class) triple and meets its own check
+    hostile.write_text("".join(line + "\n" for line in extra(lines) + lines))
     verdicts = []
     for stream in (clean, hostile):
         rep = tmp_path / stream.stem
@@ -171,21 +198,7 @@ def _replay_with_hostile_record(tiny_yaml, tmp_path, record):
                 "--out", str(rep))
         verdicts.append((rep / "verdicts.json").read_bytes())
     assert json.loads(verdicts[0])["revocations"]
-    return verdicts
-
-
-def test_replay_sizes_the_defense_from_the_config(tiny_yaml, tmp_path):
-    # the stream is untrusted: a huge class id must not size the defense
-    record = {"round": 0, "client_id": 0, "class_id": 10 ** 9, "block": [1.0, 2.0]}
-    clean, hostile = _replay_with_hostile_record(tiny_yaml, tmp_path, record)
-    assert hostile == clean
-
-
-def test_replay_drops_a_block_of_the_wrong_length(tiny_yaml, tmp_path):
-    # the block length comes from the config (6*A*d = 120), not the stream
-    record = {"round": 0, "client_id": 0, "class_id": 1, "block": [1.0, 2.0]}
-    clean, hostile = _replay_with_hostile_record(tiny_yaml, tmp_path, record)
-    assert hostile == clean
+    assert verdicts[1] == verdicts[0]
 
 
 def test_import_loads_no_package_beyond_the_declared_dependencies():

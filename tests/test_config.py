@@ -51,12 +51,6 @@ def test_confidence_level_restricted():
         validate_config(ExperimentConfig(federation=fed))
 
 
-def test_sigma_z_mapping():
-    assert FederationConfig(confidence_level=0.68).sigma_z == 1.0
-    assert FederationConfig(confidence_level=0.95).sigma_z == 2.0
-    assert FederationConfig(confidence_level=0.99).sigma_z == 3.0
-
-
 def test_attack_class_identity_rejected():
     atk = AttackSpec(poison_type="class", source_class=1, target_class=1)
     with pytest.raises(ConfigError, match="target_class must differ"):

@@ -202,9 +202,7 @@ def test_two_means_1d_reaches_the_optimum_where_lloyd_stalls():
 
 def test_flagging_uses_the_optimal_split():
     n = len(LLOYD_TRAP)
-    proj = SpatialProjection(0, np.zeros(n, int), np.arange(n),
-                             np.c_[LLOYD_TRAP, np.zeros(n)], np.ones(2),
-                             np.eye(2, n))
+    proj = SpatialProjection(np.c_[LLOYD_TRAP, np.zeros(n)], np.ones(2), np.eye(2, n))
     assert flag_suspect_classes({0: proj}) == {0}
 
 
@@ -222,8 +220,7 @@ def test_flagging_separated_vs_single_gaussian():
     tight = rng.standard_normal((40, 6))
     split = np.vstack([rng.standard_normal((30, 6)),
                        rng.standard_normal((10, 6)) + 25.0])
-    projections = {0: spatial_project(tight, class_id=0),
-                   1: spatial_project(split, class_id=1)}
+    projections = {0: spatial_project(tight), 1: spatial_project(split)}
     assert flag_suspect_classes(projections) == {1}
 
 
@@ -231,7 +228,7 @@ def test_flagging_false_positive_rate():
     rng = make_rng(8, "ffr")
     flagged = 0
     for t in range(200):
-        proj = spatial_project(rng.standard_normal((30, 5)), class_id=0)
+        proj = spatial_project(rng.standard_normal((30, 5)))
         flagged += bool(flag_suspect_classes({0: proj}))
     assert flagged / 200 < 0.05
 
@@ -276,29 +273,25 @@ def test_suspicious_cluster_defers_without_signatures():
 def test_sigma_zone_gap_between_clusters():
     values = np.array([0.0, 0.1, -0.1, 10.0, 10.1, 9.9, 5.0])
     labels = np.array([0, 0, 0, 1, 1, 1, 0])
-    zones, point_labels = sigma_zone_partition(values, labels, 0.68)
-    assert zones.z == 1.0
-    assert zones.uncertain is not None
-    lo, hi = zones.uncertain
-    assert lo < 5.0 < hi
-    assert point_labels[:3] == ["confident-0"] * 3
-    assert point_labels[3:6] == ["confident-1"] * 3
-    assert point_labels[6] == "uncertain"
+    # intervals [-1.25, 3.75] and [9.9, 10.1]: only 5.0 is in the gap
+    uncertain = sigma_zone_partition(values, labels, 0.68)
+    assert uncertain.tolist() == [False] * 6 + [True]
 
 
 def test_sigma_zone_overlapping_intervals_have_no_gap():
     values = np.array([0.0, 1.0, 2.0, 1.5, 2.5, 3.5])
     labels = np.array([0, 0, 0, 1, 1, 1])
-    zones, _ = sigma_zone_partition(values, labels, 0.99)
-    assert zones.uncertain is None
+    assert not sigma_zone_partition(values, labels, 0.99).any()
 
 
 def test_sigma_zone_confidence_maps_to_z():
-    values = np.arange(6, dtype=float)
-    labels = np.array([0, 0, 0, 1, 1, 1])
-    for conf, z in ((0.68, 1.0), (0.95, 2.0), (0.99, 3.0)):
-        zones, _ = sigma_zone_partition(values, labels, conf)
-        assert zones.z == z
+    # 10 sits 2.85 sd above its cluster's mean 1 (sd 3.16), 94 sits 1.79 sd
+    # below its cluster's mean 98.8 (sd 2.68): z = 1 leaves both in the gap,
+    # z = 2 only 10, z = 3 neither
+    values = np.array([0.0] * 9 + [10.0] + [100.0] * 4 + [94.0])
+    labels = np.array([0] * 10 + [1] * 5)
+    for conf, want in ((0.68, [9, 14]), (0.95, [9]), (0.99, [])):
+        assert np.flatnonzero(sigma_zone_partition(values, labels, conf)).tolist() == want
 
 
 def test_sigma_zone_rejects_unknown_confidence():

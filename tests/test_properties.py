@@ -3,14 +3,15 @@
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stdlens.attacks import poison_class, poison_objn
 from stdlens.detection import ClientDataset, DetectorWeights, iou
 from stdlens.engine import ClientUpdate, fedavg_aggregate
-from stdlens.forensics import temporal_signature, two_means_1d
+from stdlens.config import CONFIDENCE_TO_Z
+from stdlens.forensics import sigma_zone_partition, temporal_signature, two_means_1d
 from stdlens.seeding import derive_seed
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -64,6 +65,59 @@ def test_two_means_1d_exact_and_permutation_equivariant(x, data):
     assert _inertia(x, labels) <= brute + 1e-9 * scale
     perm = np.array(data.draw(st.permutations(range(n))))
     assert np.array_equal(two_means_1d(x[perm]), labels[perm])
+
+
+def _sigma_zone_labels(values, assignments, z):
+    """The per-point zone labelling that the uncertainty mask replaced,
+    kept as its oracle: "confident-<k>", "uncertain" or "outside"."""
+    clusters = sorted(set(assignments.tolist()))
+    means, stds, intervals = {}, {}, {}
+    for c in clusters:
+        pts = values[assignments == c]
+        means[c] = float(pts.mean())
+        stds[c] = float(pts.std(ddof=1)) if len(pts) >= 2 else 0.0
+        intervals[c] = (means[c] - z * stds[c], means[c] + z * stds[c])
+    gap = None
+    if len(clusters) == 2:
+        (l0, h0), (l1, h1) = intervals[clusters[0]], intervals[clusters[1]]
+        lo, hi = (h0, l1) if means[clusters[0]] <= means[clusters[1]] else (h1, l0)
+        if lo < hi:
+            gap = (lo, hi)
+    labels = []
+    for v, c in zip(values, assignments):
+        lo_c, hi_c = intervals[c]
+        if stds[c] == 0.0 and v != means[c]:
+            labels.append("uncertain")
+        elif lo_c <= v <= hi_c:
+            labels.append(f"confident-{c}")
+        elif gap is not None and gap[0] < v < gap[1]:
+            labels.append("uncertain")
+        else:
+            labels.append("outside")
+    return labels
+
+
+# small integers give ties, singletons and overlapping intervals; 3e-161
+# repeated 7 times has a mean one ulp off and a standard deviation that
+# underflows to 0, the zero-spread branch
+_zone_values = st.one_of(st.integers(-3, 3).map(float),
+                         st.floats(-1e3, 1e3, allow_nan=False),
+                         st.sampled_from([3e-161, 7e-171]))
+
+
+@given(st.lists(st.tuples(_zone_values, st.integers(0, 1)), min_size=1, max_size=12),
+       st.sampled_from(sorted(CONFIDENCE_TO_Z)))
+@example([(3e-161, 0)] * 7, 0.99)
+@example([(3e-161, 0)] * 7 + [(5.0, 1), (6.0, 1)], 0.99)
+@example([(0.0, 0), (1.0, 0), (2.0, 0), (1.5, 1), (2.5, 1), (3.5, 1)], 0.99)
+@example([(0.0, 0), (0.1, 0), (-0.1, 0), (10.0, 1), (10.1, 1), (9.9, 1), (5.0, 0)], 0.68)
+@example([(0.0, 1), (0.1, 1), (-0.1, 1), (10.0, 0), (10.1, 0), (9.9, 0), (5.0, 1)], 0.68)
+def test_sigma_zone_mask_matches_the_labelling_oracle(points, confidence):
+    values = np.array([v for v, _ in points])
+    assignments = np.array([c for _, c in points])
+    want = [lab == "uncertain" for lab in
+            _sigma_zone_labels(values, assignments, CONFIDENCE_TO_Z[confidence])]
+    assert sigma_zone_partition(values, assignments, confidence).tolist() == want
 
 
 _boxes = st.tuples(st.floats(0, 1), st.floats(0, 1),
