@@ -109,6 +109,11 @@ def compare(config_path, seeds, out, defenses):
         raise click.ClickException("compare-defenses requires an [attack] section")
     seeds = list(seeds) or list(range(5))
     defenses = list(defenses) or ["stdlens", "spatial", "spectral", "none"]
+    try:
+        for name in defenses:
+            validate_config(_with_defense(cfg, name))
+    except ConfigError as exc:
+        raise click.ClickException(str(exc))
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     rows = compare_defenses(cfg, defenses, seeds)
@@ -139,6 +144,8 @@ def attack_sweep(config_path, seed, out, defense, m_grid, beta_grid, gamma_grid,
         grid = [(m, b, g, o)
                 for m in parse(m_grid, float) for b in parse(beta_grid, float)
                 for g in parse(gamma_grid, float) for o in parse(onset_grid, int)]
+        if not grid:
+            raise ValueError("a grid list has no values")
         for m, b, g, o in grid:
             fed = cfg.federation if m is None else dataclasses.replace(
                 cfg.federation, malicious_fraction=m)
@@ -173,8 +180,8 @@ def attack_sweep(config_path, seed, out, defense, m_grid, beta_grid, gamma_grid,
 
 @main.command("verify-stats")
 @click.option("--seed", type=int, default=0)
-@click.option("--trials", type=int, default=100)
-@click.option("--samples", type=int, default=10000)
+@click.option("--trials", type=click.IntRange(min=1), default=100)
+@click.option("--samples", type=click.IntRange(min=1000), default=10000)
 @click.option("--out", type=click.Path(), default=None)
 def verify_stats(seed, trials, samples, out):
     """Premise/separability report over random two-population mixtures."""

@@ -61,12 +61,19 @@ class ClientDataset:
         return ClientDataset(self.x.copy(), self.classes.copy(),
                              self.bboxes.copy(), self.objn.copy())
 
+    @staticmethod
+    def stack(datasets) -> "ClientDataset":
+        """One (P, n, ...) batch from P datasets of the same size."""
+        return ClientDataset(*(np.stack([getattr(ds, f) for ds in datasets])
+                               for f in ("x", "classes", "bboxes", "objn")))
+
 
 @dataclass
 class DetectorWeights:
     """Linear detector head.
 
-    w_class: (A, C+1, d); w_bbox: (A, C, 4, d); w_objn: (A, C, d).
+    w_class: (A, C+1, d); w_bbox: (A, C, 4, d); w_objn: (A, C, d); leading
+    axes, if any, index a stack of models (e.g. the P clients of a round).
     The whole model is one output layer, so per-class gradient blocks are
     well defined for forensics.
     """
@@ -83,11 +90,12 @@ class DetectorWeights:
 
     @property
     def shape_params(self):
-        A, Cp1, d = self.w_class.shape
+        A, Cp1, d = self.w_class.shape[-3:]
         return A, Cp1 - 1, d
 
-    def copy(self) -> "DetectorWeights":
-        return DetectorWeights(self.w_class.copy(), self.w_bbox.copy(), self.w_objn.copy())
+    def __getitem__(self, i) -> "DetectorWeights":
+        """Model i of a stack, as a view."""
+        return DetectorWeights(self.w_class[i], self.w_bbox[i], self.w_objn[i])
 
     def scaled(self, a: float) -> "DetectorWeights":
         return DetectorWeights(a * self.w_class, a * self.w_bbox, a * self.w_objn)
@@ -190,8 +198,7 @@ def generate_federation_data(seed: int, N: int, samples_per_client: int, C: int,
 
 def _encode_boxes(bboxes: np.ndarray) -> np.ndarray:
     t = bboxes.copy()
-    t[..., 2] = np.log(np.maximum(bboxes[..., 2], 1e-9))
-    t[..., 3] = np.log(np.maximum(bboxes[..., 3], 1e-9))
+    t[..., 2:] = np.log(np.maximum(bboxes[..., 2:], 1e-9))
     return t
 
 
@@ -201,52 +208,52 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _heads(weights: DetectorWeights, x: np.ndarray, classes: np.ndarray):
+    """Box regression (..., n, A, 4) and objectness logit (..., n, A) of the
+    head row that each anchor's class selects; zero for background."""
+    C = weights.w_objn.shape[-2]
+    sel = np.eye(C + 1)[classes][..., :C]                           # (..., n, A, C)
+    box = np.einsum("...acjd,...nd->...nacj", weights.w_bbox, x)
+    z = np.einsum("...acd,...nd->...nac", weights.w_objn, x)
+    return (np.einsum("...nac,...nacj->...naj", sel, box),
+            np.einsum("...nac,...nac->...na", sel, z))
+
+
 def detector_loss_and_grad(weights: DetectorWeights, batch: ClientDataset):
     """Mean loss and its exact analytic gradient.
 
     Per (sample, anchor): cross-entropy over C+1 classes; for foreground
     anchors, squared error on the encoded box of the true class plus
     binary cross-entropy on that class's objectness logit. Normalized by
-    n*A so duplicating the batch changes nothing.
+    n*A so duplicating the batch changes nothing. Leading axes of the batch
+    (..., n, .) and of the weights broadcast: one loss and gradient each.
     """
-    if len(batch) == 0:
+    if batch.x.size == 0:
         raise ValueError("empty batch")
     A, C, d = weights.shape_params
-    n = len(batch)
-    x = batch.x                                   # (n, d)
-    norm = 1.0 / (n * A)
+    x = batch.x                                                     # (..., n, d)
+    norm = 1.0 / (x.shape[-2] * A)
 
-    logits = np.einsum("acd,nd->nac", weights.w_class, x)   # (n, A, C+1)
-    probs = _softmax(logits)
-    onehot = np.eye(C + 1)[batch.classes]                   # (n, A, C+1)
+    probs = _softmax(np.einsum("...acd,...nd->...nac", weights.w_class, x))
+    onehot = np.eye(C + 1)[batch.classes]                           # (..., n, A, C+1)
     p_true = np.take_along_axis(probs, batch.classes[..., None], axis=-1)[..., 0]
-    loss = -norm * np.sum(np.log(np.maximum(p_true, 1e-300)))
-    g_class = norm * np.einsum("nac,nd->acd", probs - onehot, x)
+    loss = -norm * np.sum(np.log(np.maximum(p_true, 1e-300)), axis=(-2, -1))
+    g_class = norm * np.einsum("...nac,...nd->...acd", probs - onehot, x)
 
-    g_bbox = np.zeros_like(weights.w_bbox)
-    g_objn = np.zeros_like(weights.w_objn)
-    fg = batch.classes < C                                   # (n, A)
-    if fg.any():
-        targets = _encode_boxes(batch.bboxes)
-        obj_t = batch.objn.astype(float)
-        for a in range(A):
-            mask = fg[:, a]
-            if not mask.any():
-                continue
-            cls = batch.classes[mask, a]
-            xa = x[mask]
-            pred = np.einsum("njd,nd->nj", weights.w_bbox[a, cls], xa)  # (k, 4)
-            resid = pred - targets[mask, a]
-            loss += norm * 0.5 * np.sum(resid ** 2)
-            np.add.at(g_bbox[a], cls, norm * resid[:, :, None] * xa[:, None, :])
-
-            z = np.einsum("nd,nd->n", weights.w_objn[a, cls], xa)
-            p = 1.0 / (1.0 + np.exp(-z))
-            t = obj_t[mask, a]
-            loss += norm * np.sum(
-                np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0) - t * z
-            )
-            np.add.at(g_objn[a], cls, norm * (p - t)[:, None] * xa)
+    # bbox and objn: only the true class's row of a foreground anchor
+    # trains, so each gradient contracts with the foreground one-hot
+    fg = batch.classes < C                                          # (..., n, A)
+    sel = onehot[..., :C]
+    box, z = _heads(weights, x, batch.classes)
+    resid = np.where(fg[..., None], box - _encode_boxes(batch.bboxes), 0.0)
+    t = batch.objn.astype(float)
+    bce = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0) - t * z
+    loss = loss + norm * (0.5 * np.sum(resid ** 2, axis=(-3, -2, -1))
+                          + np.sum(np.where(fg, bce, 0.0), axis=(-2, -1)))
+    g_bbox = norm * np.einsum("...nacj,...nd->...acjd",
+                              sel[..., None] * resid[..., None, :], x)
+    p = 1.0 / (1.0 + np.exp(-z))
+    g_objn = norm * np.einsum("...nac,...nd->...acd", sel * (p - t)[..., None], x)
 
     return loss, DetectorWeights(g_class, g_bbox, g_objn)
 
@@ -258,25 +265,14 @@ def predict(weights: DetectorWeights, x: np.ndarray):
     (n,A)); background predictions carry zero boxes and objn 0.
     """
     A, C, d = weights.shape_params
-    n = x.shape[0]
-    logits = np.einsum("acd,nd->nac", weights.w_class, x)
-    probs = _softmax(logits)
+    probs = _softmax(np.einsum("acd,nd->nac", weights.w_class, x))
     pred_class = probs.argmax(axis=-1)
-    bboxes = np.zeros((n, A, 4))
-    objn_p = np.zeros((n, A))
-    for a in range(A):
-        fg = pred_class[:, a] < C
-        if not fg.any():
-            continue
-        cls = pred_class[fg, a]
-        xa = x[fg]
-        t = np.einsum("njd,nd->nj", weights.w_bbox[a, cls], xa)
-        box = t.copy()
-        box[:, 2] = np.exp(np.clip(t[:, 2], -20, 3))
-        box[:, 3] = np.exp(np.clip(t[:, 3], -20, 3))
-        bboxes[fg, a] = box
-        z = np.einsum("nd,nd->n", weights.w_objn[a, cls], xa)
-        objn_p[fg, a] = 1.0 / (1.0 + np.exp(-z))
+    fg = pred_class < C
+    t, z = _heads(weights, x, pred_class)
+    bboxes = t.copy()
+    bboxes[..., 2:] = np.exp(np.clip(t[..., 2:], -20, 3))
+    bboxes[~fg] = 0.0
+    objn_p = np.where(fg, 1.0 / (1.0 + np.exp(-z)), 0.0)
     return probs, pred_class, bboxes, objn_p
 
 
@@ -338,18 +334,12 @@ def average_precision(predictions, ground_truth, iou_threshold: float = 0.5):
 
 def evaluate_per_class_ap(weights: DetectorWeights, test: ClientDataset):
     """Per-class AP of the detector on a test set; None where undefined."""
-    A, C, d = weights.shape_params
     probs, pred_class, pred_boxes, objn_p = predict(weights, test.x)
-    preds: list[list] = [[] for _ in range(C)]
-    gts: list[list] = [[] for _ in range(C)]
-    n = len(test)
-    for i in range(n):
-        for a in range(A):
-            c = pred_class[i, a]
-            if c < C:
-                conf = probs[i, a, c] * objn_p[i, a]
-                preds[c].append((i, float(conf), pred_boxes[i, a]))
-            tc = test.classes[i, a]
-            if tc < C:
-                gts[tc].append((i, test.bboxes[i, a]))
-    return {c: average_precision(preds[c], gts[c]) for c in range(C)}
+    conf = np.take_along_axis(probs, pred_class[..., None], axis=-1)[..., 0] * objn_p
+    ap = {}
+    for c in range(weights.shape_params[1]):
+        pred = np.argwhere(pred_class == c).tolist()  # sample-major, as AP ranks ties
+        truth = np.argwhere(test.classes == c).tolist()
+        ap[c] = average_precision([(i, float(conf[i, a]), pred_boxes[i, a]) for i, a in pred],
+                                  [(i, test.bboxes[i, a]) for i, a in truth])
+    return ap

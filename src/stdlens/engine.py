@@ -115,11 +115,12 @@ def local_update(dataset: ClientDataset, weights: DetectorWeights, epochs: int,
                  learning_rate: float) -> DetectorWeights:
     """Locally trained weights minus the global weights.
 
-    Full-batch gradient descent: each epoch is one plain gradient step.
+    Full-batch gradient descent: each epoch is one plain gradient step. A
+    stacked (P, n, .) dataset trains P clients and returns P stacked deltas.
     """
-    if len(dataset) == 0:
+    if dataset.x.size == 0:
         raise ValueError("empty dataset")
-    w = weights.copy()
+    w = weights
     for _ in range(epochs):
         _, grad = detector_loss_and_grad(w, dataset)
         w = w.sub(grad.scaled(learning_rate))
@@ -130,11 +131,10 @@ def fedavg_aggregate(updates: list[ClientUpdate]) -> DetectorWeights:
     """Sample-count-weighted mean of the deltas."""
     if not updates:
         raise ValueError("no updates to aggregate")
-    total = float(sum(u.sample_count for u in updates))
-    out = updates[0].delta.scaled(updates[0].sample_count / total)
-    for u in updates[1:]:
-        out = out.add(u.delta.scaled(u.sample_count / total))
-    return out
+    counts = np.array([u.sample_count for u in updates], dtype=float)
+    deltas = np.stack([u.delta.to_vector() for u in updates])
+    return DetectorWeights.from_vector(np.tensordot(counts / counts.sum(), deltas, axes=1),
+                                       *updates[0].delta.shape_params)
 
 
 def run_federation(config: ExperimentConfig, defense=None, *,
@@ -176,19 +176,21 @@ def run_federation(config: ExperimentConfig, defense=None, *,
             raise PopulationExhaustedError(run_log=log, weights=weights)
         participants = select_participants(rnd, active, fed.participation_fraction, seed)
 
-        updates, poisoned_flags = [], {}
+        datasets, poisoned_flags = [], {}
         for cid in participants:
+            was_poisoned = False
             if cid in malicious and rnd >= attack.onset_round:
                 data, was_poisoned, _ = effective_poison_for_round(
                     attack, cid, rnd, base_datasets[cid], seed, background_class=C)
-                if not was_poisoned:
-                    data = dataset_for(cid, rnd)
-            else:
+            if not was_poisoned:
                 data = dataset_for(cid, rnd)
-                was_poisoned = False
             poisoned_flags[cid] = bool(was_poisoned)
-            delta = local_update(data, weights, fed.local_epochs, fed.learning_rate)
-            updates.append(ClientUpdate(cid, rnd, delta, len(data)))
+            datasets.append(data)
+        # all participants start from the same weights: one stacked problem
+        deltas = local_update(ClientDataset.stack(datasets), weights,
+                              fed.local_epochs, fed.learning_rate)
+        updates = [ClientUpdate(cid, rnd, deltas[i], len(data))
+                   for i, (cid, data) in enumerate(zip(participants, datasets))]
 
         weights = weights.add(fedavg_aggregate(updates))
         if stream_hook is not None:

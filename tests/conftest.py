@@ -9,8 +9,7 @@ from stdlens.config import (AttackSpec, DefenseConfig, ExperimentConfig,
                             FederationConfig, TaskConfig)
 
 
-@pytest.fixture
-def tiny_config() -> ExperimentConfig:
+def make_tiny_config() -> ExperimentConfig:
     """10 clients, 10 rounds, 2 malicious; fast enough for CLI round-trips."""
     return ExperimentConfig(
         federation=FederationConfig(
@@ -21,6 +20,11 @@ def tiny_config() -> ExperimentConfig:
         attack=AttackSpec(poison_type="class", source_class=0, target_class=1),
         defense=DefenseConfig(name="stdlens"),
     )
+
+
+@pytest.fixture
+def tiny_config() -> ExperimentConfig:
+    return make_tiny_config()
 
 
 @pytest.fixture

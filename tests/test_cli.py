@@ -104,6 +104,17 @@ def test_compare_defenses_requires_attack(tmp_path):
     assert result.exit_code != 0
 
 
+def test_compare_defenses_rejects_an_unknown_defense(tiny_yaml, tmp_path):
+    # the bad name comes second: every name is checked before any run
+    out = tmp_path / "cmp"
+    result = CliRunner().invoke(main, ["compare-defenses", "--config", tiny_yaml,
+                                       "--out", str(out), "--defense", "none",
+                                       "--defense", "bogus"])
+    assert result.exit_code == 1
+    assert "defense name must be one of" in result.output
+    assert not out.exists()
+
+
 def test_attack_sweep_grid(tiny_yaml, tmp_path):
     out = tmp_path / "sweep"
     _invoke("attack-sweep", "--config", tiny_yaml, "--out", str(out),
@@ -116,10 +127,12 @@ def test_attack_sweep_grid(tiny_yaml, tmp_path):
 @pytest.mark.parametrize("flag, values, message", [
     ("--m", "0.2,0.15", "m*N must be an integer count of clients"),
     ("--beta", "0.1,abc", "could not convert string to float: 'abc'"),
-], ids=["m", "beta"])
+    ("--beta", ",", "a grid list has no values"),
+], ids=["m", "beta", "empty"])
 def test_attack_sweep_rejects_an_invalid_grid_value(tiny_yaml, tmp_path, flag,
                                                     values, message):
-    # the bad value comes second: the grid is checked before any run
+    # the bad value comes second (or there is none): the grid is checked
+    # before any run
     out = tmp_path / "sweep"
     result = CliRunner().invoke(main, ["attack-sweep", "--config", tiny_yaml,
                                        "--out", str(out), flag, values])
@@ -135,6 +148,15 @@ def test_verify_stats_report(tmp_path):
     text = (out / "verify_stats.txt").read_text()
     assert "separable in" in text
     assert len(text.splitlines()) == 5
+
+
+@pytest.mark.parametrize("flag, value", [("--samples", "10"), ("--trials", "-3")])
+def test_verify_stats_rejects_an_out_of_range_count(tmp_path, flag, value):
+    out = tmp_path / "stats"
+    result = CliRunner().invoke(main, ["verify-stats", flag, value, "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{flag}'" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("defense", ["stdlens", "spatial", "spectral"])

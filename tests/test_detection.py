@@ -1,5 +1,7 @@
 """Surrogate detection task: IoU, AP, data generation, gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from stdlens.detection import (ClientDataset, DetectorWeights, average_precision
                                detector_loss_and_grad, evaluate_per_class_ap,
                                generate_client_dataset, generate_federation_data,
                                iou, predict)
+from stdlens.engine import local_update
 from stdlens.seeding import make_rng
 
 
@@ -170,6 +173,89 @@ def test_gradient_matches_finite_differences():
         assert fd == pytest.approx(gvec[i], rel=1e-5, abs=1e-8)
 
 
+def _per_anchor_loss_and_grad(w, batch):
+    """Reference: the loss and gradient with one loop per anchor."""
+    n, A = batch.classes.shape
+    C = w.w_objn.shape[1]
+    norm = 1.0 / (n * A)
+    logits = np.einsum("acd,nd->nac", w.w_class, batch.x)
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    onehot = np.eye(C + 1)[batch.classes]
+    loss = -norm * np.sum(np.log(np.sum(probs * onehot, axis=-1)))
+    g_class = norm * np.einsum("nac,nd->acd", probs - onehot, batch.x)
+    g_bbox, g_objn = np.zeros_like(w.w_bbox), np.zeros_like(w.w_objn)
+    targets = batch.bboxes.copy()
+    targets[..., 2:] = np.log(np.maximum(targets[..., 2:], 1e-9))
+    for a in range(A):
+        for i in np.nonzero(batch.classes[:, a] < C)[0]:
+            c, x = batch.classes[i, a], batch.x[i]
+            resid = w.w_bbox[a, c] @ x - targets[i, a]
+            loss += norm * 0.5 * resid @ resid
+            g_bbox[a, c] += norm * np.outer(resid, x)
+            z, t = w.w_objn[a, c] @ x, float(batch.objn[i, a])
+            loss += norm * (np.log1p(np.exp(-abs(z))) + max(z, 0.0) - t * z)
+            g_objn[a, c] += norm * (1 / (1 + np.exp(-z)) - t) * x
+    return loss, DetectorWeights(g_class, g_bbox, g_objn)
+
+
+def test_gradient_matches_the_per_anchor_reference():
+    for seed in range(10):
+        w, batch = _random_pair(50 + seed, n=8, A=3, C=3, d=6)
+        loss, grad = detector_loss_and_grad(w, batch)
+        ref_loss, ref_grad = _per_anchor_loss_and_grad(w, batch)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert np.allclose(grad.to_vector(), ref_grad.to_vector(), rtol=0, atol=1e-12)
+
+
+def _stack_weights(ws):
+    return DetectorWeights(np.stack([w.w_class for w in ws]),
+                           np.stack([w.w_bbox for w in ws]),
+                           np.stack([w.w_objn for w in ws]))
+
+
+def test_stacked_call_matches_per_client_calls():
+    # P = 3 clients, each with its own weights, as after a round's first step
+    pairs = [_random_pair(seed, n=6) for seed in (30, 31, 32)]
+    weights = _stack_weights([w for w, _ in pairs])
+    batch = ClientDataset.stack([b for _, b in pairs])
+    losses, grads = detector_loss_and_grad(weights, batch)
+    assert losses.shape == (3,)
+    for i, (w, b) in enumerate(pairs):
+        loss, grad = detector_loss_and_grad(w, b)
+        assert abs(losses[i] - loss) <= 1e-12
+        assert np.abs(grads[i].to_vector() - grad.to_vector()).max() <= 1e-12
+    # shared (unstacked) weights broadcast over the clients, as in a round's
+    # first step
+    w0 = pairs[0][0]
+    losses, grads = detector_loss_and_grad(w0, batch)
+    for i, (_, b) in enumerate(pairs):
+        loss, grad = detector_loss_and_grad(w0, b)
+        assert abs(losses[i] - loss) <= 1e-12
+        assert np.abs(grads[i].to_vector() - grad.to_vector()).max() <= 1e-12
+
+
+def test_stacked_gradient_matches_finite_differences():
+    # each client's loss depends on its own weights only, so the gradient of
+    # the summed losses is the stacked gradient
+    pairs = [_random_pair(seed, n=6) for seed in (40, 41, 42)]
+    weights = _stack_weights([w for w, _ in pairs])
+    batch = ClientDataset.stack([b for _, b in pairs])
+    _, grad = detector_loss_and_grad(weights, batch)
+    eps = 1e-6
+    for field in ("w_class", "w_bbox", "w_objn"):
+        base, g = getattr(weights, field), getattr(grad, field)
+        for i in range(0, base.size, 5):     # spot-check every 5th coordinate
+            idx = np.unravel_index(i, base.shape)
+            sums = []
+            for step in (eps, -eps):
+                moved = dataclasses.replace(weights, **{field: base.copy()})
+                getattr(moved, field)[idx] += step
+                sums.append(detector_loss_and_grad(moved, batch)[0].sum())
+            fd = (sums[0] - sums[1]) / (2 * eps)
+            assert fd == pytest.approx(g[idx], rel=1e-5, abs=1e-8)
+
+
 def test_loss_batch_duplication_invariant():
     w, batch = _random_pair(5)
     doubled = ClientDataset(np.vstack([batch.x, batch.x]),
@@ -212,6 +298,33 @@ def test_predict_shapes_and_background_boxes():
     bg = pred_class == 2
     assert (boxes[bg] == 0).all()
     assert (objn[bg] == 0).all()
+    # a foreground anchor reads the head rows of its predicted class
+    for i, a in zip(*np.nonzero(~bg)):
+        c = pred_class[i, a]
+        t = w.w_bbox[a, c] @ batch.x[i]
+        assert np.allclose(boxes[i, a], [t[0], t[1], np.exp(t[2]), np.exp(t[3])])
+        assert objn[i, a] == pytest.approx(1 / (1 + np.exp(-w.w_objn[a, c] @ batch.x[i])))
+
+
+def test_evaluate_per_class_ap_matches_the_per_anchor_reference():
+    A, C, d = 2, 3, 10
+    for seed in range(3):
+        # a briefly trained detector, so that some predictions match
+        (train,), test, _, _ = generate_federation_data(seed, 1, 200, C=C, d=d, A=A,
+                                                        test_samples=60)
+        w = local_update(train, DetectorWeights.zeros(A, C, d), 40, 1.0)
+        probs, pred_class, boxes, objn = predict(w, test.x)
+        preds, gts = [[] for _ in range(C)], [[] for _ in range(C)]
+        for i in range(len(test)):
+            for a in range(A):
+                c, tc = pred_class[i, a], test.classes[i, a]
+                if c < C:
+                    preds[c].append((i, float(probs[i, a, c] * objn[i, a]), boxes[i, a]))
+                if tc < C:
+                    gts[tc].append((i, test.bboxes[i, a]))
+        ap = evaluate_per_class_ap(w, test)
+        assert ap == {c: average_precision(preds[c], gts[c]) for c in range(C)}
+        assert all(0.0 < v < 1.0 for v in ap.values())
 
 
 def test_evaluate_per_class_ap_keys():

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from stdlens.detection import DetectorWeights, detector_loss_and_grad
+from stdlens.attacks import poison_class
+from stdlens.detection import (ClientDataset, DetectorWeights, detector_loss_and_grad,
+                               generate_federation_data)
 from stdlens.engine import (ClientUpdate, PopulationExhaustedError, RoundRecord,
                             RunLog, fedavg_aggregate, local_update,
                             run_federation, select_participants)
@@ -113,6 +115,22 @@ def test_local_update_full_batch_single_epoch_is_one_gradient_step():
     _, grad = detector_loss_and_grad(w, batch)
     delta = local_update(batch, w, epochs=1, learning_rate=0.1)
     assert np.allclose(delta.to_vector(), -0.1 * grad.to_vector(), atol=1e-12)
+
+
+def test_stacked_round_matches_per_client_updates():
+    # one round: four clients (one poisoned) train from the same weights
+    datasets, _, _, _ = generate_federation_data(3, 4, 15, C=3, d=8, A=2)
+    datasets[1] = poison_class(datasets[1], source=0, target=1)
+    w, _ = _random_pair(23, A=2, C=3, d=8)
+    deltas = local_update(ClientDataset.stack(datasets), w, epochs=3, learning_rate=0.5)
+    updates = []
+    for i, ds in enumerate(datasets):
+        delta = local_update(ds, w, epochs=3, learning_rate=0.5)
+        assert np.abs(deltas[i].to_vector() - delta.to_vector()).max() <= 1e-12
+        updates.append(ClientUpdate(i, 0, delta, len(ds)))
+    stacked = [ClientUpdate(i, 0, deltas[i], len(ds)) for i, ds in enumerate(datasets)]
+    assert np.allclose(fedavg_aggregate(stacked).to_vector(),
+                       fedavg_aggregate(updates).to_vector(), rtol=0, atol=1e-12)
 
 
 def test_local_update_rejects_empty_dataset():

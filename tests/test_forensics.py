@@ -34,7 +34,7 @@ def test_block_locality_across_classes():
     a = DetectorWeights(rng.standard_normal((A, C + 1, d)),
                         rng.standard_normal((A, C, 4, d)),
                         rng.standard_normal((A, C, d)))
-    b = a.copy()
+    b = DetectorWeights.from_vector(a.to_vector(), A, C, d)
     b.w_class[:, 2, :] += 1.0
     b.w_bbox[:, 2, :, :] += 1.0
     b.w_objn[:, 2, :] += 1.0

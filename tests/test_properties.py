@@ -1,18 +1,24 @@
 """Property-based invariants (hypothesis)."""
 
+import functools
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stdlens.attacks import poison_class, poison_objn
 from stdlens.detection import ClientDataset, DetectorWeights, iou
-from stdlens.engine import ClientUpdate, fedavg_aggregate
+from stdlens.engine import ClientUpdate, fedavg_aggregate, run_federation
 from stdlens.config import CONFIDENCE_TO_Z
-from stdlens.forensics import sigma_zone_partition, temporal_signature, two_means_1d
+from stdlens.forensics import (GradientContribution, sigma_zone_partition,
+                               temporal_signature, two_means_1d, update_contributions)
+from stdlens.metrics import _with_defense, _with_seed, build_defense
+from stdlens.replay import replay_stream
 from stdlens.seeding import derive_seed
+from tests.conftest import make_tiny_config
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -197,3 +203,46 @@ def test_seed_derivation_separates_streams():
     seen = {derive_seed(0, "a", i) for i in range(1000)}
     seen |= {derive_seed(0, "b", i) for i in range(1000)}
     assert len(seen) == 2000
+
+
+# -- ordering invariants of the defenses ---------------------------------------
+
+@functools.lru_cache(maxsize=3)
+def _tiny_stream(seed):
+    """The per-round contribution stream of an undefended tiny-config run."""
+    cfg = _with_seed(_with_defense(make_tiny_config(), "none"), seed)
+    stream = []
+    run_federation(cfg, stream_hook=lambda rnd, updates: stream.append(
+        [g for u in updates for g in update_contributions(u, cfg.task.num_classes)]),
+        eval_every=cfg.federation.rounds)
+    return cfg, stream
+
+
+def _revocations(seed, defense, stream):
+    cfg, _ = _tiny_stream(seed)
+    events, _ = replay_stream(build_defense(_with_defense(cfg, defense), seed), stream)
+    return set(events)
+
+
+# spatial seeds its k-means per window, so it stays out until it draws none
+@pytest.mark.parametrize("defense", ["stdlens", "spectral"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_revocations_ignore_the_order_within_a_round(seed, defense, rnd):
+    _, stream = _tiny_stream(seed)
+    shuffled = [rnd.sample(contribs, len(contribs)) for contribs in stream]
+    assert (_revocations(seed, defense, shuffled)
+            == _revocations(seed, defense, stream))
+
+
+@pytest.mark.parametrize("defense", ["stdlens", "spectral"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(st.permutations(range(make_tiny_config().federation.num_clients)))
+def test_revocations_follow_a_relabeling_of_client_ids(seed, defense, perm):
+    _, stream = _tiny_stream(seed)
+    relabeled = [[GradientContribution(perm[g.client_id], g.round, g.class_id, g.block)
+                  for g in contribs] for contribs in stream]
+    assert (_revocations(seed, defense, relabeled)
+            == {(r, perm[c]) for r, c in _revocations(seed, defense, stream)})
