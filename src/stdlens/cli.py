@@ -15,6 +15,7 @@ from pathlib import Path
 import click
 
 from .config import ConfigError, ExperimentConfig, load_config, validate_config
+from .engine import PHASES
 from .metrics import (_final_ap, _fmt, _with_defense, _with_seed, build_defense,
                       compare_defenses, comparison_table, comparison_to_csv,
                       run_experiment)
@@ -52,9 +53,10 @@ def _write_ap_curves(out: Path, log, num_classes: int):
 def _write_timings(out: Path, log):
     with open(out / "timings.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "duration_s"])
+        writer.writerow(["round", "duration_s", *PHASES])
         for rec in log.records:
-            writer.writerow([rec.round, f"{rec.duration_s:.6f}"])
+            writer.writerow([rec.round] + [f"{getattr(rec, name):.6f}"
+                                           for name in ("duration_s", *PHASES)])
 
 
 @click.group()

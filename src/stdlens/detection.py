@@ -276,55 +276,84 @@ def predict(weights: DetectorWeights, x: np.ndarray):
     return probs, pred_class, bboxes, objn_p
 
 
-def iou(box_a, box_b) -> float:
-    """Intersection-over-union of two (cx, cy, w, h) boxes."""
-    ax, ay, aw, ah = box_a
-    bx, by, bw, bh = box_b
-    if aw <= 0 or ah <= 0 or bw <= 0 or bh <= 0:
+def iou(box_a, box_b):
+    """Intersection-over-union of (cx, cy, w, h) boxes.
+
+    Broadcasts over leading axes of (..., 4) arrays, so two 4-tuples give
+    one float and iou(A[:, None], B[None]) gives every pair.
+    """
+    a = np.asarray(box_a, dtype=float)
+    b = np.asarray(box_b, dtype=float)
+    if (a[..., 2:] <= 0).any() or (b[..., 2:] <= 0).any():
         raise ValueError("boxes must have positive width and height")
-    ix = max(0.0, min(ax + aw / 2, bx + bw / 2) - max(ax - aw / 2, bx - bw / 2))
-    iy = max(0.0, min(ay + ah / 2, by + bh / 2) - max(ay - ah / 2, by - bh / 2))
+    ax, ay, aw, ah = (a[..., j] for j in range(4))
+    bx, by, bw, bh = (b[..., j] for j in range(4))
+    ix = np.maximum(0.0, np.minimum(ax + aw / 2, bx + bw / 2)
+                    - np.maximum(ax - aw / 2, bx - bw / 2))
+    iy = np.maximum(0.0, np.minimum(ay + ah / 2, by + bh / 2)
+                    - np.maximum(ay - ah / 2, by - bh / 2))
     inter = ix * iy
     union = aw * ah + bw * bh - inter
     return inter / union
 
 
-def average_precision(predictions, ground_truth, iou_threshold: float = 0.5):
+def _rank_within_group(keys: np.ndarray) -> np.ndarray:
+    """Position of each element among the elements with its key, in input order."""
+    order = np.argsort(keys, kind="stable")
+    run_start = np.zeros(len(keys), dtype=np.int64)
+    new = np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1
+    run_start[new] = new
+    rank = np.empty_like(run_start)
+    rank[order] = np.arange(len(keys)) - np.maximum.accumulate(run_start)
+    return rank
+
+
+def average_precision(pred_samples, pred_conf, pred_boxes, gt_samples, gt_boxes,
+                      iou_threshold: float = 0.5):
     """Single-class AP with greedy IoU matching.
 
-    predictions: list of (sample_id, confidence, bbox), ground_truth: list
-    of (sample_id, bbox). Ranked by confidence (ties by insertion index),
-    each prediction greedily matches the highest-IoU unmatched truth in
-    its sample; AP is the step-integrated area under the PR curve.
+    Predictions are (sample id, confidence, (cx, cy, w, h) box) arrays,
+    truths (sample id, box) arrays. Ranked by confidence (ties by index),
+    each prediction takes the highest-IoU unmatched truth of its sample
+    (the first truth on a tie; a NaN IoU never matches) and is a hit if
+    that IoU reaches the threshold. AP is the step-integrated area under
+    the PR curve.
 
     Returns None when there is no ground truth (AP undefined, never 0).
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("iou_threshold must be in (0,1)")
-    n_gt = len(ground_truth)
+    n_gt = len(gt_samples)
     if n_gt == 0:
         return None
-    if not predictions:
+    if len(pred_samples) == 0:
         return 0.0
-    gt_by_sample: dict = {}
-    for gi, (sid, box) in enumerate(ground_truth):
-        gt_by_sample.setdefault(sid, []).append((gi, box))
-    order = sorted(range(len(predictions)),
-                   key=lambda i: (-predictions[i][1], i))
-    matched = np.zeros(n_gt, dtype=bool)
+    order = np.argsort(-np.asarray(pred_conf, dtype=float), kind="stable")
+    samples = np.asarray(pred_samples)[order]
+
+    # truths as a (samples, slots) table, one row per sample with its truths
+    # in insertion order; slots without a truth (all of a prediction-only
+    # sample's) hold a unit box and start matched, so they never win
+    sample_ids, group = np.unique(np.concatenate([gt_samples, samples]), return_inverse=True)
+    gt_group, group = group[:n_gt], group[n_gt:]
+    slot = _rank_within_group(gt_group)
+    table = np.ones((len(sample_ids), slot.max() + 1, 4))
+    table[gt_group, slot] = gt_boxes
+    matched = np.ones(table.shape[:2], dtype=bool)
+    matched[gt_group, slot] = False
+
+    overlap = iou(np.asarray(pred_boxes, dtype=float)[order, None], table[group])
+    overlap = np.where(np.isnan(overlap), -1.0, overlap)
+    # the k-th prediction of every sample matches at once: samples share no truth
+    rank = _rank_within_group(samples)
     tp = np.zeros(len(order))
-    for rank, pi in enumerate(order):
-        sid, _, box = predictions[pi]
-        best_iou, best_gi = 0.0, -1
-        for gi, gbox in gt_by_sample.get(sid, ()):
-            if matched[gi]:
-                continue
-            v = iou(box, gbox)
-            if v > best_iou:
-                best_iou, best_gi = v, gi
-        if best_gi >= 0 and best_iou >= iou_threshold:
-            matched[best_gi] = True
-            tp[rank] = 1.0
+    for k in range(rank.max() + 1):
+        rows = np.flatnonzero(rank == k)
+        cand = np.where(matched[group[rows]], -1.0, overlap[rows])
+        best = cand.argmax(axis=1)
+        hit = cand[np.arange(len(rows)), best] >= iou_threshold
+        matched[group[rows[hit]], best[hit]] = True
+        tp[rows[hit]] = 1.0
     cum_tp = np.cumsum(tp)
     precision = cum_tp / np.arange(1, len(order) + 1)
     recall = cum_tp / n_gt
@@ -338,8 +367,8 @@ def evaluate_per_class_ap(weights: DetectorWeights, test: ClientDataset):
     conf = np.take_along_axis(probs, pred_class[..., None], axis=-1)[..., 0] * objn_p
     ap = {}
     for c in range(weights.shape_params[1]):
-        pred = np.argwhere(pred_class == c).tolist()  # sample-major, as AP ranks ties
-        truth = np.argwhere(test.classes == c).tolist()
-        ap[c] = average_precision([(i, float(conf[i, a]), pred_boxes[i, a]) for i, a in pred],
-                                  [(i, test.bboxes[i, a]) for i, a in truth])
+        pi, pa = np.nonzero(pred_class == c)  # sample-major, as AP ranks ties
+        ti, ta = np.nonzero(test.classes == c)
+        ap[c] = average_precision(pi, conf[pi, pa], pred_boxes[pi, pa],
+                                  ti, test.bboxes[ti, ta])
     return ap

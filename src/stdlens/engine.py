@@ -27,6 +27,7 @@ from .seeding import make_rng
 
 __all__ = [
     "ClientUpdate",
+    "PHASES",
     "RoundRecord",
     "RunLog",
     "PopulationExhaustedError",
@@ -54,6 +55,11 @@ class ClientUpdate:
     sample_count: int
 
 
+# Timed phases of a round, as RoundRecord fields. Participant selection and
+# the stream hook fall in none of them, so they sum to at most duration_s.
+PHASES = ("data_s", "train_s", "aggregate_s", "defense_s", "eval_s")
+
+
 @dataclass
 class RoundRecord:
     round: int
@@ -62,7 +68,12 @@ class RoundRecord:
     poisoned: dict[int, bool]
     revocations: list[int]
     watchlist_events: list[int]
-    duration_s: float = 0.0  # not serialized; kept out of determinism scope
+    duration_s: float = 0.0  # this and the PHASES: not serialized, so kept
+    data_s: float = 0.0      # out of the determinism scope
+    train_s: float = 0.0
+    aggregate_s: float = 0.0
+    defense_s: float = 0.0
+    eval_s: float = 0.0
 
     def to_json(self) -> str:
         return json.dumps({
@@ -176,6 +187,7 @@ def run_federation(config: ExperimentConfig, defense=None, *,
             raise PopulationExhaustedError(run_log=log, weights=weights)
         participants = select_participants(rnd, active, fed.participation_fraction, seed)
 
+        t_data = time.perf_counter()
         datasets, poisoned_flags = [], {}
         for cid in participants:
             was_poisoned = False
@@ -186,25 +198,34 @@ def run_federation(config: ExperimentConfig, defense=None, *,
                 data = dataset_for(cid, rnd)
             poisoned_flags[cid] = bool(was_poisoned)
             datasets.append(data)
+        t_train = time.perf_counter()
         # all participants start from the same weights: one stacked problem
         deltas = local_update(ClientDataset.stack(datasets), weights,
                               fed.local_epochs, fed.learning_rate)
         updates = [ClientUpdate(cid, rnd, deltas[i], len(data))
                    for i, (cid, data) in enumerate(zip(participants, datasets))]
 
+        t_aggregate = time.perf_counter()
         weights = weights.add(fedavg_aggregate(updates))
+        t_aggregated = time.perf_counter()
         if stream_hook is not None:
             stream_hook(rnd, updates)
 
+        t_defense = time.perf_counter()
         revocations, watchlist_events = [], []
         if defense is not None:
             revocations, watchlist_events = defense.observe_round(rnd, updates)
             for cid in revocations:
                 active.discard(cid)
 
+        t_eval = time.perf_counter()
         ap = (evaluate_per_class_ap(weights, test)
               if rnd % eval_every == 0 or rnd == fed.rounds - 1 else {})
+        t_end = time.perf_counter()
         log.append(RoundRecord(rnd, sorted(participants), ap, poisoned_flags,
                                sorted(revocations), sorted(watchlist_events),
-                               duration_s=time.perf_counter() - t0))
+                               duration_s=t_end - t0, data_s=t_train - t_data,
+                               train_s=t_aggregate - t_train,
+                               aggregate_s=t_aggregated - t_aggregate,
+                               defense_s=t_eval - t_defense, eval_s=t_end - t_eval))
     return weights, log

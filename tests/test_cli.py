@@ -59,6 +59,14 @@ def test_run_writes_documented_artifacts(tiny_yaml, tmp_path):
                           "time_to_purge"}
     header = (out / "ap_curves.csv").read_text().splitlines()[0]
     assert header == "round,ap_0,ap_1,ap_2"
+    timings = (out / "timings.csv").read_text().splitlines()
+    assert timings[0] == "round,duration_s,data_s,train_s,aggregate_s,defense_s,eval_s"
+    assert len(timings) == 11
+    for line in timings[1:]:
+        duration, *phases = map(float, line.split(",")[1:])
+        assert min(phases) >= 0.0
+        # each printed value is rounded to 6 decimals
+        assert sum(phases) <= duration + 6 * 0.5e-6
 
 
 def test_run_is_byte_deterministic(tiny_yaml, tmp_path):

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stdlens.detection import (ClientDataset, DetectorWeights, average_precision,
                                detector_loss_and_grad, evaluate_per_class_ap,
@@ -34,6 +36,10 @@ def test_iou_quarter_overlap_corner_boxes():
 def test_iou_rejects_degenerate_boxes():
     with pytest.raises(ValueError):
         iou((0.5, 0.5, 0.0, 0.1), (0.5, 0.5, 0.1, 0.1))
+    # any degenerate box among broadcast ones, compared or not
+    boxes = np.array([[0.5, 0.5, 0.1, 0.1], [0.5, 0.5, 0.1, -0.1]])
+    with pytest.raises(ValueError):
+        iou(boxes[:, None], boxes[None, :1])
 
 
 def test_iou_contained_box():
@@ -48,48 +54,130 @@ def _box():
     return (0.5, 0.5, 0.2, 0.2)
 
 
+def _reference_average_precision(predictions, ground_truth, iou_threshold=0.5):
+    """Reference: the greedy match as a loop over ranked predictions.
+
+    predictions: list of (sample_id, confidence, bbox), ground_truth: list
+    of (sample_id, bbox); each prediction, by confidence then index, takes
+    the highest-IoU unmatched truth of its sample (strictly higher wins).
+    """
+    n_gt = len(ground_truth)
+    if n_gt == 0:
+        return None
+    if not predictions:
+        return 0.0
+    gt_by_sample: dict = {}
+    for gi, (sid, box) in enumerate(ground_truth):
+        gt_by_sample.setdefault(sid, []).append((gi, box))
+    order = sorted(range(len(predictions)),
+                   key=lambda i: (-predictions[i][1], i))
+    matched = np.zeros(n_gt, dtype=bool)
+    tp = np.zeros(len(order))
+    for rank, pi in enumerate(order):
+        sid, _, box = predictions[pi]
+        best_iou, best_gi = 0.0, -1
+        for gi, gbox in gt_by_sample.get(sid, ()):
+            if matched[gi]:
+                continue
+            v = iou(box, gbox)
+            if v > best_iou:
+                best_iou, best_gi = v, gi
+        if best_gi >= 0 and best_iou >= iou_threshold:
+            matched[best_gi] = True
+            tp[rank] = 1.0
+    cum_tp = np.cumsum(tp)
+    precision = cum_tp / np.arange(1, len(order) + 1)
+    recall = cum_tp / n_gt
+    prev = np.concatenate([[0.0], recall[:-1]])
+    return float(np.sum((recall - prev) * precision))
+
+
+def _ap_of_lists(predictions, ground_truth):
+    """average_precision on the reference's lists, unzipped into arrays."""
+    ps, pc, pb = (np.array(col) for col in zip(*predictions)) if predictions else ([],) * 3
+    gs, gb = (np.array(col) for col in zip(*ground_truth)) if ground_truth else ([],) * 2
+    return average_precision(ps, pc, pb, gs, gb)
+
+
+_NAN_BOX = (float("nan"),) * 4
+# dyadic grid boxes make exactly equal IoUs between different boxes
+_match_boxes = (st.tuples(*[st.sampled_from([0.375, 0.5, 0.625])] * 2,
+                          *[st.sampled_from([0.25, 0.5])] * 2)
+                | st.tuples(st.floats(0.3, 0.7), st.floats(0.3, 0.7),
+                            st.floats(0.05, 0.5), st.floats(0.05, 0.5)))
+
+
+@st.composite
+def _match_problems(draw):
+    # few boxes, confidences and samples, so that boxes coincide, IoUs and
+    # confidences tie, a sample holds several predictions, and some samples
+    # hold only predictions or only truths
+    pool = draw(st.lists(_match_boxes, min_size=1, max_size=4))
+    box = st.sampled_from(pool) | st.just(_NAN_BOX)
+    sample = st.integers(0, 3)
+    preds = draw(st.lists(st.tuples(sample, st.sampled_from([0.25, 0.5, 0.75]), box),
+                          max_size=12))
+    truths = draw(st.lists(st.tuples(sample, box), max_size=8))
+    return preds, truths
+
+
+_LEFT, _MID, _RIGHT = (0.375, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5), (0.625, 0.5, 0.5, 0.5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_match_problems())
+# _MID overlaps both truths at IoU 0.6: it must take the first, so that
+# _RIGHT can take the second
+@example(([(0, 0.75, _MID), (0, 0.25, _RIGHT)], [(0, _LEFT), (0, _RIGHT)]))
+# a NaN IoU against the first truth must not block the second
+@example(([(0, 0.5, _MID)], [(0, _NAN_BOX), (0, _MID)]))
+def test_ap_equals_the_greedy_loop(problem):
+    preds, truths = problem
+    assert _ap_of_lists(preds, truths) == _reference_average_precision(preds, truths)
+
+
 def test_ap_ranked_hit_miss_hit_hit():
     # ranks: TP, FP, TP, TP with 3 ground truths
     # precision at recall steps: 1/1, 2/3, 3/4 -> AP = (1 + 2/3 + 3/4)/3
-    far = (0.05, 0.05, 0.05, 0.05)
-    preds = [
-        (0, 0.9, _box()),
-        (1, 0.8, far),
-        (1, 0.7, _box()),
-        (2, 0.6, _box()),
-    ]
-    gts = [(0, _box()), (1, _box()), (2, _box())]
-    assert average_precision(preds, gts) == pytest.approx(
-        (1.0 + 2.0 / 3.0 + 3.0 / 4.0) / 3.0, rel=1e-12)
-    assert average_precision(preds, gts) == pytest.approx(0.805555555, rel=1e-8)
+    box, far = _box(), (0.05, 0.05, 0.05, 0.05)
+    ap = average_precision(np.array([0, 1, 1, 2]), np.array([0.9, 0.8, 0.7, 0.6]),
+                           np.array([box, far, box, box]),
+                           np.array([0, 1, 2]), np.array([box, box, box]))
+    assert ap == pytest.approx((1.0 + 2.0 / 3.0 + 3.0 / 4.0) / 3.0, rel=1e-12)
+    assert ap == pytest.approx(0.805555555, rel=1e-8)
 
 
 def test_ap_perfect_detector():
-    preds = [(i, 0.9, _box()) for i in range(5)]
-    gts = [(i, _box()) for i in range(5)]
-    assert average_precision(preds, gts) == pytest.approx(1.0)
+    ids, boxes = np.arange(5), np.array([_box()] * 5)
+    assert average_precision(ids, np.full(5, 0.9), boxes, ids, boxes) == pytest.approx(1.0)
 
 
 def test_ap_no_predictions_is_zero():
-    assert average_precision([], [(0, _box())]) == 0.0
+    none = np.zeros(0)
+    assert average_precision(none, none, none.reshape(0, 4),
+                             np.array([0]), np.array([_box()])) == 0.0
 
 
 def test_ap_no_ground_truth_is_undefined():
-    assert average_precision([(0, 0.9, _box())], []) is None
-    assert average_precision([], []) is None
+    none = np.zeros(0)
+    assert average_precision(np.array([0]), np.array([0.9]), np.array([_box()]),
+                             none, none.reshape(0, 4)) is None
+    assert average_precision(none, none, none.reshape(0, 4), none, none.reshape(0, 4)) is None
 
 
 def test_ap_duplicate_predictions_on_one_truth():
     # second matching prediction of the same truth is a false positive
-    preds = [(0, 0.9, _box()), (0, 0.8, _box())]
-    gts = [(0, _box())]
+    ap = average_precision(np.array([0, 0]), np.array([0.9, 0.8]), np.array([_box()] * 2),
+                           np.array([0]), np.array([_box()]))
     # PR points: (1, 1.0) then (1, 0.5); AP = 1.0
-    assert average_precision(preds, gts) == pytest.approx(1.0)
+    assert ap == pytest.approx(1.0)
 
 
 def test_ap_rejects_bad_threshold():
+    none = np.zeros(0)
     with pytest.raises(ValueError):
-        average_precision([], [(0, _box())], iou_threshold=0.0)
+        average_precision(none, none, none.reshape(0, 4), np.array([0]), np.array([_box()]),
+                          iou_threshold=0.0)
 
 
 # -- data generation ---------------------------------------------------------
@@ -323,7 +411,7 @@ def test_evaluate_per_class_ap_matches_the_per_anchor_reference():
                 if tc < C:
                     gts[tc].append((i, test.bboxes[i, a]))
         ap = evaluate_per_class_ap(w, test)
-        assert ap == {c: average_precision(preds[c], gts[c]) for c in range(C)}
+        assert ap == {c: _reference_average_precision(preds[c], gts[c]) for c in range(C)}
         assert all(0.0 < v < 1.0 for v in ap.values())
 
 

@@ -142,6 +142,13 @@ def test_iou_identity(a):
     assert abs(iou(a, a) - 1.0) < 1e-12
 
 
+@given(st.lists(_boxes, min_size=1, max_size=5), st.lists(_boxes, min_size=1, max_size=5))
+def test_iou_broadcast_equals_the_scalar_call_for_every_pair(a, b):
+    pairwise = iou(np.array(a)[:, None], np.array(b)[None])
+    assert pairwise.shape == (len(a), len(b))
+    assert pairwise.tolist() == [[iou(x, y) for y in b] for x in a]
+
+
 @given(st.lists(st.tuples(finite, st.integers(1, 100)), min_size=1, max_size=8))
 def test_fedavg_bounded_by_update_range(values):
     updates = []
