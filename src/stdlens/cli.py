@@ -78,9 +78,11 @@ def run(config_path, seed, out, defense, dump_stream):
     hook = None
     if dump_stream:
         hook = stream_dump_hook(out / "gradient_stream.jsonl", cfg.task.num_classes)
-    _, log, score = run_experiment(cfg, stream_hook=hook)
-    if hook is not None:
-        hook.close()
+    try:
+        _, log, score = run_experiment(cfg, stream_hook=hook)
+    finally:
+        if hook is not None:
+            hook.close()
     log.write_jsonl(out / "runlog.jsonl")
     _write_ap_curves(out, log, cfg.task.num_classes)
     _write_timings(out, log)

@@ -208,15 +208,32 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _forward(x: np.ndarray, w: np.ndarray, head: tuple) -> np.ndarray:
+    """x (..., n, d) @ rows(w)ᵀ: the head w (..., *head, d) viewed as a
+    (..., rows, d) matrix, one output per sample and head row, (..., n, *head)."""
+    rows = w.reshape(*w.shape[:w.ndim - len(head) - 1], -1, w.shape[-1])
+    out = x @ rows.swapaxes(-1, -2)
+    return out.reshape(*out.shape[:-1], *head)
+
+
+def _backward(g: np.ndarray, x: np.ndarray, head: tuple) -> np.ndarray:
+    """Gᵀ @ x: the gradient (..., *head, d) of a head whose outputs, as
+    _forward lays them out, have gradient g (..., n, *head)."""
+    G = g.reshape(*g.shape[:g.ndim - len(head)], -1)
+    out = G.swapaxes(-1, -2) @ x
+    return out.reshape(*out.shape[:-2], *head, x.shape[-1])
+
+
 def _heads(weights: DetectorWeights, x: np.ndarray, classes: np.ndarray):
     """Box regression (..., n, A, 4) and objectness logit (..., n, A) of the
     head row that each anchor's class selects; zero for background."""
-    C = weights.w_objn.shape[-2]
-    sel = np.eye(C + 1)[classes][..., :C]                           # (..., n, A, C)
-    box = np.einsum("...acjd,...nd->...nacj", weights.w_bbox, x)
-    z = np.einsum("...acd,...nd->...nac", weights.w_objn, x)
-    return (np.einsum("...nac,...nacj->...naj", sel, box),
-            np.einsum("...nac,...nac->...na", sel, z))
+    A, C, _ = weights.shape_params
+    fg = classes < C
+    row = np.minimum(classes, C - 1)[..., None]                      # (..., n, A, 1)
+    box = _forward(x, weights.w_bbox, (A, C, 4))
+    box = np.take_along_axis(box, row[..., None], axis=-2)[..., 0, :]
+    z = np.take_along_axis(_forward(x, weights.w_objn, (A, C)), row, axis=-1)[..., 0]
+    return np.where(fg[..., None], box, 0.0), np.where(fg, z, 0.0)
 
 
 def detector_loss_and_grad(weights: DetectorWeights, batch: ClientDataset):
@@ -234,14 +251,14 @@ def detector_loss_and_grad(weights: DetectorWeights, batch: ClientDataset):
     x = batch.x                                                     # (..., n, d)
     norm = 1.0 / (x.shape[-2] * A)
 
-    probs = _softmax(np.einsum("...acd,...nd->...nac", weights.w_class, x))
+    probs = _softmax(_forward(x, weights.w_class, (A, C + 1)))
     onehot = np.eye(C + 1)[batch.classes]                           # (..., n, A, C+1)
     p_true = np.take_along_axis(probs, batch.classes[..., None], axis=-1)[..., 0]
     loss = -norm * np.sum(np.log(np.maximum(p_true, 1e-300)), axis=(-2, -1))
-    g_class = norm * np.einsum("...nac,...nd->...acd", probs - onehot, x)
+    g_class = norm * _backward(probs - onehot, x, (A, C + 1))
 
     # bbox and objn: only the true class's row of a foreground anchor
-    # trains, so each gradient contracts with the foreground one-hot
+    # trains, so each output gradient is nonzero in that row alone
     fg = batch.classes < C                                          # (..., n, A)
     sel = onehot[..., :C]
     box, z = _heads(weights, x, batch.classes)
@@ -250,10 +267,9 @@ def detector_loss_and_grad(weights: DetectorWeights, batch: ClientDataset):
     bce = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0) - t * z
     loss = loss + norm * (0.5 * np.sum(resid ** 2, axis=(-3, -2, -1))
                           + np.sum(np.where(fg, bce, 0.0), axis=(-2, -1)))
-    g_bbox = norm * np.einsum("...nacj,...nd->...acjd",
-                              sel[..., None] * resid[..., None, :], x)
+    g_bbox = norm * _backward(sel[..., None] * resid[..., None, :], x, (A, C, 4))
     p = 1.0 / (1.0 + np.exp(-z))
-    g_objn = norm * np.einsum("...nac,...nd->...acd", sel * (p - t)[..., None], x)
+    g_objn = norm * _backward(sel * (p - t)[..., None], x, (A, C))
 
     return loss, DetectorWeights(g_class, g_bbox, g_objn)
 
@@ -265,7 +281,7 @@ def predict(weights: DetectorWeights, x: np.ndarray):
     (n,A)); background predictions carry zero boxes and objn 0.
     """
     A, C, d = weights.shape_params
-    probs = _softmax(np.einsum("acd,nd->nac", weights.w_class, x))
+    probs = _softmax(_forward(x, weights.w_class, (A, C + 1)))
     pred_class = probs.argmax(axis=-1)
     fg = pred_class < C
     t, z = _heads(weights, x, pred_class)

@@ -17,13 +17,13 @@ __all__ = ["stream_dump_hook", "write_contributions", "read_stream", "replay_str
 
 
 def _write_records(fh, contributions) -> None:
-    """The one record format: a sorted-key JSON line per contribution."""
+    """The one record format: a sorted-key JSON line per contribution, the
+    bytes of json.dumps(record, sort_keys=True) with the block encoded by
+    one json.dumps call."""
     for g in contributions:
-        fh.write(json.dumps({
-            "round": int(g.round), "client_id": int(g.client_id),
-            "class_id": int(g.class_id),
-            "block": [float(v) for v in g.block],
-        }, sort_keys=True) + "\n")
+        block = json.dumps(np.asarray(g.block, dtype=float).tolist())
+        fh.write(f'{{"block": {block}, "class_id": {int(g.class_id)}, '
+                 f'"client_id": {int(g.client_id)}, "round": {int(g.round)}}}\n')
 
 
 def stream_dump_hook(path, num_classes: int):

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import stdlens
 from stdlens.cli import main
-from stdlens.replay import read_stream, write_contributions
+from stdlens.replay import read_stream, stream_dump_hook, write_contributions
 
 SRC = str(Path(stdlens.__file__).resolve().parents[1])
 
@@ -256,3 +256,29 @@ def test_dumped_stream_round_trips_byte_for_byte(tiny_yaml, tmp_path):
     rewritten = tmp_path / "rewritten.jsonl"
     write_contributions(rewritten, read_stream(dumped))
     assert rewritten.read_bytes() == dumped.read_bytes()
+
+
+def test_dump_file_is_closed_when_the_run_raises(tiny_yaml, tmp_path, monkeypatch):
+    hooks = []
+
+    def recording_hook(path, num_classes):
+        hooks.append(stream_dump_hook(path, num_classes))
+        return hooks[-1]
+
+    def failing_evaluation(weights, test):
+        raise RuntimeError("evaluation failed")
+
+    monkeypatch.setattr("stdlens.cli.stream_dump_hook", recording_hook)
+    # round 0 is dumped before it is evaluated, so the run fails after one round
+    monkeypatch.setattr("stdlens.engine.evaluate_per_class_ap", failing_evaluation)
+    out = tmp_path / "run"
+    result = CliRunner().invoke(main, ["run", "--config", tiny_yaml, "--out", str(out),
+                                       "--dump-stream"])
+    assert isinstance(result.exception, RuntimeError)
+    (hook,) = hooks
+    assert hook.close.__self__.closed        # hook.close is the file's close
+    records = [json.loads(line)
+               for line in (out / "gradient_stream.jsonl").read_text().splitlines()]
+    # 4 of 10 clients take part, with one record per class (3)
+    assert len(records) == 4 * 3
+    assert {rec["round"] for rec in records} == {0}

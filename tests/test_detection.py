@@ -287,9 +287,17 @@ def _per_anchor_loss_and_grad(w, batch):
     return loss, DetectorWeights(g_class, g_bbox, g_objn)
 
 
-def test_gradient_matches_the_per_anchor_reference():
+# (A, C, d): A, C, 4 and d pairwise distinct, so a head axis read in the
+# wrong place gives a wrong shape; then the smallest task the generators allow
+TASK_SHAPES = [(2, 3, 5), (3, 2, 7), (5, 6, 9), (1, 2, 4)]
+_task_shapes = pytest.mark.parametrize("A, C, d", TASK_SHAPES,
+                                       ids=[f"A{A}-C{C}-d{d}" for A, C, d in TASK_SHAPES])
+
+
+@_task_shapes
+def test_gradient_matches_the_per_anchor_reference(A, C, d):
     for seed in range(10):
-        w, batch = _random_pair(50 + seed, n=8, A=3, C=3, d=6)
+        w, batch = _random_pair(50 + seed, n=8, A=A, C=C, d=d)
         loss, grad = detector_loss_and_grad(w, batch)
         ref_loss, ref_grad = _per_anchor_loss_and_grad(w, batch)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
@@ -302,9 +310,10 @@ def _stack_weights(ws):
                            np.stack([w.w_objn for w in ws]))
 
 
-def test_stacked_call_matches_per_client_calls():
+@_task_shapes
+def test_stacked_call_matches_per_client_calls(A, C, d):
     # P = 3 clients, each with its own weights, as after a round's first step
-    pairs = [_random_pair(seed, n=6) for seed in (30, 31, 32)]
+    pairs = [_random_pair(seed, n=6, A=A, C=C, d=d) for seed in (30, 31, 32)]
     weights = _stack_weights([w for w, _ in pairs])
     batch = ClientDataset.stack([b for _, b in pairs])
     losses, grads = detector_loss_and_grad(weights, batch)
@@ -377,13 +386,20 @@ def test_zero_weights_class_loss_is_uniform_entropy():
     assert loss == pytest.approx(np.log(C + 1), rel=1e-12)
 
 
-def test_predict_shapes_and_background_boxes():
-    w, batch = _random_pair(2)
+@_task_shapes
+def test_predict_shapes_and_background_boxes(A, C, d):
+    n = 20
+    w, batch = _random_pair(2, n=n, A=A, C=C, d=d)
     probs, pred_class, boxes, objn = predict(w, batch.x)
-    n, A = batch.classes.shape
-    assert probs.shape == (n, A, 3)
+    assert probs.shape == (n, A, C + 1)
+    assert pred_class.shape == objn.shape == (n, A)
+    assert boxes.shape == (n, A, 4)
     assert np.allclose(probs.sum(axis=-1), 1.0)
-    bg = pred_class == 2
+    # the class head as a per-anchor product
+    logits = np.stack([batch.x @ w.w_class[a].T for a in range(A)], axis=1)
+    assert np.allclose(np.log(probs) - np.log(probs[..., -1:]),
+                       logits - logits[..., -1:], rtol=0, atol=1e-9)
+    bg = pred_class == C
     assert (boxes[bg] == 0).all()
     assert (objn[bg] == 0).all()
     # a foreground anchor reads the head rows of its predicted class

@@ -1,0 +1,60 @@
+"""Stream records: the writer's bytes against the sorted-key reference."""
+
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stdlens.config import load_config
+from stdlens.forensics import GradientContribution, update_contributions
+from stdlens.metrics import run_experiment
+from stdlens.replay import _write_records, stream_dump_hook
+
+CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "class_poison.yaml"
+
+
+def _reference_records(contributions) -> str:
+    """Reference: one json.dumps(record, sort_keys=True) line per contribution."""
+    return "".join(json.dumps({
+        "round": int(g.round), "client_id": int(g.client_id),
+        "class_id": int(g.class_id),
+        "block": [float(v) for v in g.block],
+    }, sort_keys=True) + "\n" for g in contributions)
+
+
+@pytest.mark.parametrize("block", [
+    np.array([np.nan, np.inf, -np.inf]),
+    np.array([-0.0, 0.0, 5e-324, -5e-324]),
+    np.array([1e308, -1e308, 1.7976931348623157e308, 2.2250738585072014e-308]),
+    np.array([0.1, 1 / 3, -2.5e-17, 123456789.123456789, 1e16, 1e-5]),
+    np.array([3, -7, 0, 2 ** 53 + 1]),
+], ids=["non-finite", "zeros-and-subnormals", "extremes", "ordinary", "int-dtype"])
+def test_record_bytes_match_the_sorted_key_reference(block):
+    contributions = [GradientContribution(4, 17, 2, block),
+                     GradientContribution(np.int64(0), np.int64(3), np.int64(1), block)]
+    fh = io.StringIO()
+    _write_records(fh, contributions)
+    assert fh.getvalue() == _reference_records(contributions)
+
+
+def test_a_dumped_canonical_stream_matches_the_reference(tmp_path):
+    cfg = load_config(CANONICAL)
+    num_classes = cfg.task.num_classes
+    path = tmp_path / "gradient_stream.jsonl"
+    dump = stream_dump_hook(path, num_classes)
+    reference = []
+
+    def hook(round_idx, updates):
+        dump(round_idx, updates)
+        reference.append(_reference_records(
+            g for u in updates for g in update_contributions(u, num_classes)))
+
+    try:
+        run_experiment(cfg, stream_hook=hook, eval_every=cfg.federation.rounds)
+    finally:
+        dump.close()
+    assert len(reference) == cfg.federation.rounds
+    assert path.read_text() == "".join(reference)
+
