@@ -21,53 +21,48 @@ __all__ = [
 ]
 
 
-def defense_spatial_smaller_cluster(contributions_per_class: dict,
-                                    seed: int = 0) -> list[int]:
+def defense_spatial_smaller_cluster(classes: dict, seed: int = 0) -> list[int]:
     """Revoke every client contributing to the smaller spatial cluster.
 
-    Runs per flagged class; an exact size tie means no revocation for
-    that class this window.
+    `classes` maps a class id to its window's (client ids, rounds, blocks)
+    arrays. Runs per flagged class; an exact size tie means no revocation
+    for that class this window.
     """
     revoked: set[int] = set()
-    projections = {
-        c: spatial_project(np.stack([g.block for g in contribs]))
-        for c, contribs in contributions_per_class.items() if len(contribs) >= 3}
+    projections = {c: spatial_project(blocks)
+                   for c, (ids, _, blocks) in classes.items() if len(ids) >= 3}
     for c in flag_suspect_classes(projections):
         labels = cluster_2d(projections[c].ssc, "kmeans", 2,
                             derive_seed(seed, "spatial-bl", c))
         n0, n1 = int((labels == 0).sum()), int((labels == 1).sum())
         if n0 == n1:
             continue
-        smaller = 0 if n0 < n1 else 1
-        revoked |= {int(g.client_id) for g, lab in zip(contributions_per_class[c], labels)
-                    if lab == smaller}
+        revoked.update(classes[c][0][labels == (0 if n0 < n1 else 1)].tolist())
     return sorted(revoked)
 
 
-def defense_spectral_signature(contributions_per_class: dict,
-                               removal_fraction: float) -> list[int]:
+def defense_spectral_signature(classes: dict, removal_fraction: float) -> list[int]:
     """Spectral outlier removal.
 
-    Per class: mean-center the blocks, score each contribution by
+    Per class of `classes` (class id -> (client ids, rounds, blocks))
+    arrays: mean-center the blocks, score each row by
     |<block - mean, top covariance eigenvector>| (the top right-singular
-    vector of the centered blocks), and revoke the clients
-    owning the top removal_fraction of scores (stable index
-    tie-breaking). No flagging gate; this is the baseline's documented
-    aggressiveness.
+    vector of the centered blocks), and revoke the clients owning the top
+    removal_fraction of scores (stable index tie-breaking). No flagging
+    gate; this is the baseline's documented aggressiveness.
     """
     if not (0.0 < removal_fraction < 1.0):
         raise ValueError("removal_fraction must be in (0,1)")
     revoked: set[int] = set()
-    for c, contribs in contributions_per_class.items():
-        if len(contribs) < 3:
+    for ids, _, blocks in classes.values():
+        if len(ids) < 3:
             continue
-        centered, _, vecs = covariance_top_eigh(np.stack([g.block for g in contribs]), 1)
+        centered, _, vecs = covariance_top_eigh(blocks, 1)
         scores = np.abs(centered @ vecs[:, 0])
-        k = int(np.floor(removal_fraction * len(contribs) + 0.5))
+        k = int(np.floor(removal_fraction * len(ids) + 0.5))
         if k < 1:
             continue
-        order = sorted(range(len(contribs)), key=lambda i: (-scores[i], i))
-        revoked |= {int(contribs[i].client_id) for i in order[:k]}
+        revoked.update(ids[np.argsort(-scores, kind="stable")[:k]].tolist())
     return sorted(revoked)
 
 

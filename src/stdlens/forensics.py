@@ -24,6 +24,7 @@ fails an acceptance criterion or drops it to its floor:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,7 +39,7 @@ __all__ = [
     "SpatialProjection",
     "ClientDossier",
     "extract_class_gradient_block",
-    "update_contributions",
+    "round_class_blocks",
     "covariance_top_eigh",
     "spatial_project",
     "flag_suspect_classes",
@@ -58,6 +59,7 @@ SEPARATION_THRESHOLD = 2.0  # least SSC1 2-means separation score that flags a c
 TEMPORAL_CONTRAST = 0.5     # most suspicious/benign temporal-signature ratio that
                             # revokes outright (a weaker contrast only watchlists)
 MAX_BLOCK_ENTRY = 1e100     # larger admitted entries could overflow a covariance
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 @dataclass
@@ -86,11 +88,23 @@ def extract_class_gradient_block(delta: DetectorWeights, class_id: int) -> np.nd
     ])
 
 
-def update_contributions(update, num_classes: int) -> list[GradientContribution]:
-    """One client update as per-class contributions, in class order."""
-    return [GradientContribution(update.client_id, update.round, c,
-                                 extract_class_gradient_block(update.delta, c))
-            for c in range(num_classes)]
+@functools.lru_cache(maxsize=None)
+def _block_table(A: int, C: int, d: int) -> np.ndarray:
+    """(C, 6*A*d) flat-vector indices of every class block: the blocks of an
+    index-valued model, so extract_class_gradient_block alone defines the
+    layout."""
+    size = len(DetectorWeights.zeros(A, C, d).to_vector())
+    index = DetectorWeights.from_vector(np.arange(size), A, C, d)
+    table = np.stack([extract_class_gradient_block(index, c) for c in range(C)])
+    table.flags.writeable = False
+    return table
+
+
+def round_class_blocks(updates) -> np.ndarray:
+    """(P, C, 6*A*d) per-class blocks of a round's client updates in one
+    gather: blocks[i, c] equals extract_class_gradient_block(updates[i].delta, c)."""
+    flat = np.stack([u.delta.to_vector() for u in updates])
+    return flat[:, _block_table(*updates[0].delta.shape_params)]
 
 
 @dataclass
@@ -337,6 +351,47 @@ def _near_exemplar(pts: np.ndarray, exemplars, center: np.ndarray,
     return near
 
 
+def _exemplar_candidates(ids: np.ndarray, blocks: np.ndarray, on_list: np.ndarray,
+                         exemplars, factor: float) -> list[int]:
+    """The clients that may pass `_near_exemplar` against the center of the
+    off-watchlist rows of the other clients, by a bound that never drops a
+    client the exact test accepts (it may keep one the exact test rejects).
+
+    Each client's leave-one-out center is taken in one step as
+    c' = (off-watchlist total - the client's own off-watchlist sum) / n_rest.
+    The exact test computes c = rest.mean(axis=0) instead; both round the
+    same exact mean m. Per coordinate, a float sum of n terms is within
+    (n-1)*u*sum|x| of the true one in any summation order (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, sec. 4.2), so
+    |c - m| and |c' - m| are each at most ~2n*u*S/n_rest, S the summed row
+    norms of all off-watchlist rows (the client's own rows cancel in c');
+    `gap` = 8n*eps*S/n_rest (eps = 2u) bounds |c - c'| with room to spare.
+    By the triangle inequality |e - c| <= |e - c'| + gap, so a row p with
+    |p - e| >= factor*(|e - c'| + gap) for every exemplar e fails the exact
+    test. Each computed norm is within a relative (dim + 4)*u of its true
+    value, which the factor (1 + `rel`) covers with room to spare. A client
+    stays a candidate iff each of its rows passes for some exemplar, and
+    every client the exact test skips (n_rest < 3) is dropped.
+    """
+    eps = np.finfo(float).eps
+    n, dim = blocks.shape
+    clients, inverse = np.unique(ids, return_inverse=True)
+    off = ~on_list
+    own = (inverse == np.arange(len(clients))[:, None]) & off     # (clients, rows)
+    n_rest = off.sum() - own.sum(axis=1)
+    valid = n_rest >= 3
+    n_rest = np.maximum(n_rest, 1)
+    center = (blocks[off].sum(axis=0) - own @ blocks) / n_rest[:, None]
+    gap = 8 * n * eps * np.linalg.norm(blocks[off], axis=1).sum() / n_rest
+    rel = 4 * (dim + 4) * eps
+    near = np.zeros(n, dtype=bool)
+    for e in exemplars:
+        limit = factor * (1 + rel) * (np.linalg.norm(center - e, axis=1) + gap)
+        near |= np.linalg.norm(blocks - e, axis=1) < limit[inverse]
+    far = np.bincount(inverse[~near], minlength=len(clients))
+    return clients[valid & (far == 0)].tolist()
+
+
 @dataclass
 class ClientDossier:
     watchlist_count: int = 0
@@ -358,15 +413,20 @@ def unit_norm(block: np.ndarray) -> np.ndarray:
 
 
 class WindowedDefense:
-    """Ingestion shell shared by every windowed defense: extracts per-class
-    blocks, drops revoked clients and malformed contributions (a block not
-    of shape `(block_dim,)` when `block_dim` is given, non-finite block,
-    class id out of range, an admitted entry above MAX_BLOCK_ENTRY in
-    magnitude, a round other than the one observed, a repeat of an admitted
-    (client, round, class) triple), buffers per class, and hands each
-    window of `window` rounds, keyed on `round // window`, to `_decide`,
-    which returns (clients to revoke, watchlist events). No client is
-    revoked twice."""
+    """Ingestion shell shared by every windowed defense.
+
+    Both hooks feed one `_ingest` of a round as columns: client ids, rounds,
+    class ids and a block matrix. Each drop rule is one boolean mask over
+    the rows: a round other than the one observed, a revoked client, a
+    class id out of range, a non-finite block, an entry above
+    MAX_BLOCK_ENTRY in magnitude after `_admit`, and a repeat of an admitted
+    (client, round, class) triple, where the first admitted occurrence
+    wins. A block not of length `block_dim` (with no `block_dim`, the first
+    block fixes it) or an id beyond int64 is dropped before the columns are
+    built. Each class buffers `(ids, rounds, blocks)` chunks, and each
+    window of `window` rounds, keyed on `round // window`, goes to `_decide`
+    as per-class arrays; it returns (clients to revoke, watchlist events).
+    No client is revoked twice."""
 
     def __init__(self, num_classes: int, window: int,
                  block_dim: Optional[int] = None):
@@ -374,42 +434,66 @@ class WindowedDefense:
         self.window = window
         self.block_dim = block_dim
         self.revoked: set[int] = set()
-        self._current: dict[int, list[GradientContribution]] = {
-            c: [] for c in range(num_classes)}
-        self._seen: set[tuple] = set()   # admitted (client, round, class) triples
-        self._open = 0                   # index of the open window
-        self.clients: set[int] = set()   # clients with an admitted contribution
+        self._chunks: dict[int, list[tuple]] = {c: [] for c in range(num_classes)}
+        self._seen: set[tuple] = set()     # admitted (client, round, class) triples
+        self._open = 0                     # index of the open window
+        self.clients: set[int] = set()     # clients with an admitted contribution
 
     def observe_round(self, round_idx: int, updates) -> tuple[list[int], list[int]]:
-        """Engine hook: consume raw client updates for one round."""
-        contribs = [g for u in updates if u.client_id not in self.revoked
-                    for g in update_contributions(u, self.num_classes)]
-        return self.observe_contributions(round_idx, contribs)
+        """Engine hook: consume raw client updates for one round, all their
+        per-class blocks gathered at once."""
+        C = self.num_classes
+        blocks = round_class_blocks(updates)[:, :C]
+        P, _, dim = blocks.shape
+        return self._ingest(round_idx,
+                            np.array([u.client_id for u in updates], np.int64).repeat(C),
+                            np.array([u.round for u in updates], np.int64).repeat(C),
+                            np.tile(np.arange(C), P), blocks.reshape(P * C, dim))
 
     def observe_contributions(self, round_idx: int, contributions
                               ) -> tuple[list[int], list[int]]:
-        """Replay-mode hook: consume the contributions of round `round_idx`.
-        A round before the open window is dropped, and a round of a later
-        window first closes the open one."""
+        """Replay-mode hook: consume the contributions of round `round_idx`."""
+        dim = self.block_dim
+        if dim is None:
+            dim = next((len(g.block) for g in contributions if np.ndim(g.block) == 1), 0)
+        rows = [g for g in contributions if np.shape(g.block) == (dim,)
+                and _INT64_MIN <= min(g.client_id, g.round, g.class_id)
+                and max(g.client_id, g.round, g.class_id) <= _INT64_MAX]
+        return self._ingest(
+            round_idx,
+            np.array([g.client_id for g in rows], dtype=np.int64),
+            np.array([g.round for g in rows], dtype=np.int64),
+            np.array([g.class_id for g in rows], dtype=np.int64),
+            np.array([g.block for g in rows], dtype=float) if rows else np.empty((0, dim)))
+
+    def _ingest(self, round_idx: int, ids: np.ndarray, rounds: np.ndarray,
+                class_ids: np.ndarray, blocks: np.ndarray) -> tuple[list[int], list[int]]:
+        """Admit one round's rows. A round before the open window is
+        dropped, and a round of a later window first closes the open one."""
         index = round_idx // self.window
         if index < self._open:
             return [], []
         verdicts = self.window_step() if index > self._open else ([], [])
         self._open = index
-        for g in contributions:
-            triple = (g.client_id, g.round, g.class_id)
-            if (g.round != round_idx or triple in self._seen
-                    or g.client_id in self.revoked
-                    or not 0 <= g.class_id < self.num_classes
-                    or (self.block_dim is not None
-                        and np.shape(g.block) != (self.block_dim,))
-                    or not np.isfinite(g.block).all()):
-                continue
-            g = self._admit(g)
-            if np.abs(g.block).max(initial=0.0) <= MAX_BLOCK_ENTRY:
-                self._current[g.class_id].append(g)
-                self._seen.add(triple)
-                self.clients.add(g.client_id)
+        if self.block_dim is None and len(blocks):
+            self.block_dim = blocks.shape[1]
+        keep = ((rounds == round_idx) & ~np.isin(ids, list(self.revoked))
+                & (class_ids >= 0) & (class_ids < self.num_classes)
+                & np.isfinite(blocks).all(axis=1) & (blocks.shape[1] == self.block_dim))
+        rows = np.flatnonzero(keep)
+        admitted = self._admit(blocks[rows])
+        fits = np.abs(admitted).max(axis=1, initial=0.0) <= MAX_BLOCK_ENTRY
+        rows, admitted = rows[fits], admitted[fits]
+        # `p in seen or seen.add(p)` is falsy once per triple: the first wins
+        seen = self._seen
+        first = np.array([not (p in seen or seen.add(p)) for p in zip(
+            ids[rows].tolist(), rounds[rows].tolist(), class_ids[rows].tolist())], dtype=bool)
+        rows, admitted = rows[first], admitted[first]
+        ids, rounds, class_ids = ids[rows], rounds[rows], class_ids[rows]
+        for c in np.unique(class_ids).tolist():
+            mine = class_ids == c
+            self._chunks[c].append((ids[mine], rounds[mine], admitted[mine]))
+        self.clients.update(ids.tolist())
         if round_idx % self.window == self.window - 1:   # the window's last round
             revocations, watchlist_events = self.window_step()
             self._open = index + 1
@@ -417,17 +501,20 @@ class WindowedDefense:
         return verdicts
 
     def window_step(self) -> tuple[list[int], list[int]]:
-        """Close the window: decide on the buffered contributions."""
-        window = self._current
-        self._current = {c: [] for c in range(self.num_classes)}
+        """Close the window: decide on the buffered rows, each class as one
+        (client ids, rounds, blocks) triple of arrays."""
+        chunks = self._chunks
+        self._chunks = {c: [] for c in range(self.num_classes)}
         self._seen = set()
+        window = {c: tuple(np.concatenate(column) for column in zip(*parts))
+                  for c, parts in chunks.items() if parts}
         revocations, watchlist_events = self._decide(window)
         revocations = sorted(set(revocations) - self.revoked)
         self.revoked.update(revocations)
         return revocations, watchlist_events
 
-    def _admit(self, g: GradientContribution) -> GradientContribution:
-        return g
+    def _admit(self, blocks: np.ndarray) -> np.ndarray:
+        return blocks
 
     def _decide(self, window) -> tuple[list[int], list[int]]:
         raise NotImplementedError
@@ -436,10 +523,11 @@ class WindowedDefense:
 class StdLensDefense(WindowedDefense):
     """Stateful three-tier defense driven once per FL round.
 
-    Accumulates per-class gradient contributions over a forensic window;
-    at each window boundary runs the full pipeline and returns clients to
-    revoke. `seed` is accepted and unused: the defense draws no random
-    numbers.
+    Admission scales each round's admitted rows to unit norm in one step
+    (`normalize_blocks`); the shell buffers them per class over a forensic
+    window, and at each window boundary the full pipeline runs on the
+    per-class arrays and returns clients to revoke. `seed` is accepted and
+    unused: the defense draws no random numbers.
     """
 
     def __init__(self, num_classes: int, window: int, omega: int,
@@ -454,25 +542,27 @@ class StdLensDefense(WindowedDefense):
         self.dossiers: dict[int, ClientDossier] = {}
         self._exemplars: dict[int, list] = {}      # class_id -> revoked block means
 
-    def _admit(self, g: GradientContribution) -> GradientContribution:
+    def _admit(self, blocks: np.ndarray) -> np.ndarray:
         if not self.normalize_blocks:
-            return g
+            return blocks
         # direction forensics: a replayed poison payload keeps its gradient
         # direction even while the magnitude tracks the moving global
         # model, so unit-norm blocks make temporal repetitiveness visible
-        # in any training phase
-        return GradientContribution(g.client_id, g.round, g.class_id,
-                                    unit_norm(g.block))
+        # in any training phase. vecdot sums each row as the per-block
+        # np.linalg.norm does, so the rows are bit-identical to unit_norm's.
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.vecdot(blocks, blocks))
+        plain = (norms > 0) & (norms < np.inf)
+        out = blocks / np.where(plain, norms, 1.0)[:, None]
+        for i in np.flatnonzero(~plain):
+            out[i] = unit_norm(blocks[i])
+        return out
 
     # -- the forensic window ----------------------------------------------
 
-    def _decide(self, window) -> tuple[list[int], list[int]]:
-        """Run the three-tier pipeline on the window."""
-        # each class once as (client ids, rounds, blocks) arrays
-        classes = {c: (np.array([g.client_id for g in contribs]),
-                       np.array([g.round for g in contribs]),
-                       np.stack([g.block for g in contribs]))
-                   for c, contribs in window.items() if contribs}
+    def _decide(self, classes) -> tuple[list[int], list[int]]:
+        """Run the three-tier pipeline on the window, given as class id ->
+        (client ids, rounds, blocks) arrays."""
         projections = {c: spatial_project(blocks)
                        for c, (ids, _, blocks) in classes.items() if len(ids) >= 3}
         flagged = flag_suspect_classes(projections)
@@ -513,18 +603,20 @@ class StdLensDefense(WindowedDefense):
         block space: a client whose contributions in some class all lie
         outside the remaining population's confidence radius AND closer
         to an archived exemplar than 0.75 times that exemplar's distance
-        to the population center is revoked outright.
+        to the population center is revoked outright. A conservative
+        whole-array bound (`_exemplar_candidates`) rules out almost every
+        client first; only the rest take the exact per-client test.
         """
-        watched = {cid for cid, d in self.dossiers.items()
-                   if d.verdict == "watchlisted"}
+        watched = [cid for cid, d in self.dossiers.items()
+                   if d.verdict == "watchlisted"]
         z = CONFIDENCE_TO_Z[self.confidence]
         matches: set[int] = set()
         for c, (ids, _, blocks) in classes.items():
             exemplars = self._exemplars.get(c)
             if not exemplars or len(ids) < 4:
                 continue
-            on_list = np.array([cid in watched for cid in ids])
-            for cid in set(ids.tolist()):
+            on_list = np.isin(ids, watched)
+            for cid in _exemplar_candidates(ids, blocks, on_list, exemplars, 0.75):
                 mine = ids == cid
                 rest = blocks[~mine & ~on_list]
                 if len(rest) < 3:

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .forensics import GradientContribution, update_contributions
+from .forensics import GradientContribution, round_class_blocks
 
 __all__ = ["stream_dump_hook", "write_contributions", "read_stream", "replay_stream"]
 
@@ -31,8 +31,9 @@ def stream_dump_hook(path, num_classes: int):
     fh = open(path, "w")
 
     def hook(round_idx, updates):
-        _write_records(fh, (g for u in updates
-                            for g in update_contributions(u, num_classes)))
+        blocks = round_class_blocks(updates)
+        _write_records(fh, (GradientContribution(u.client_id, u.round, c, blocks[i, c])
+                            for i, u in enumerate(updates) for c in range(num_classes)))
         fh.flush()
 
     hook.close = fh.close

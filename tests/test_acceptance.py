@@ -31,22 +31,24 @@ N_MALICIOUS = 10
 SOURCE = 0
 
 
-_REPORTER = None
+_CAPSYS = None
 
 
 @pytest.fixture(autouse=True)
-def _capture_bypass(request):
-    # route the per-criterion verdict lines through the terminal reporter
-    # so they survive output capture and land in the test log
-    global _REPORTER
-    _REPORTER = request.config.pluginmanager.get_plugin("terminalreporter")
+def _capture_bypass(capsys):
+    # the per-criterion verdict lines bypass output capture, so they show
+    # in the test log without -s
+    global _CAPSYS
+    _CAPSYS = capsys
     yield
+    _CAPSYS = None
 
 
 def _report(num: int, name: str, passed: bool, detail: str) -> None:
     line = f"[criterion {num:2d}] {'PASS' if passed else 'FAIL'} {name}: {detail}"
-    if _REPORTER is not None:
-        _REPORTER.write_line("\n" + line)
+    if _CAPSYS is not None:
+        with _CAPSYS.disabled():
+            print("\n" + line)
     else:
         print(line)
     assert passed, line

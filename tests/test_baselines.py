@@ -10,6 +10,13 @@ from stdlens.forensics import GradientContribution, StdLensDefense
 from stdlens.seeding import make_rng
 
 
+def _class_arrays(contribs):
+    """One class of a window as the (client ids, rounds, blocks) arrays that
+    the baselines take."""
+    return (np.array([g.client_id for g in contribs]), np.array([g.round for g in contribs]),
+            np.stack([g.block for g in contribs]))
+
+
 def _window(rng, n_honest=12, n_mal=3, gap=20.0, d=6, rounds=5):
     contribs = []
     payloads = {100 + j: np.full(d, gap) + rng.standard_normal(d)
@@ -21,7 +28,7 @@ def _window(rng, n_honest=12, n_mal=3, gap=20.0, d=6, rounds=5):
         for cid, p in payloads.items():
             contribs.append(GradientContribution(cid, r, 0,
                                                  p + 0.01 * rng.standard_normal(d)))
-    return {0: contribs}
+    return {0: _class_arrays(contribs)}
 
 
 def test_smaller_cluster_revokes_minority():
@@ -32,8 +39,8 @@ def test_smaller_cluster_revokes_minority():
 
 def test_smaller_cluster_benign_window_no_revocations():
     rng = make_rng(1, "bl")
-    window = {0: [GradientContribution(cid, r, 0, rng.standard_normal(6))
-                  for r in range(5) for cid in range(12)]}
+    window = {0: _class_arrays([GradientContribution(cid, r, 0, rng.standard_normal(6))
+                                for r in range(5) for cid in range(12)])}
     assert defense_spatial_smaller_cluster(window) == []
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from stdlens.detection import DetectorWeights
+from stdlens.engine import ClientUpdate
 from stdlens.forensics import (GradientContribution, SpatialProjection,
                                StdLensDefense, cluster_2d,
                                extract_class_gradient_block, flag_suspect_classes,
                                identify_suspicious_cluster, kmeans,
-                               sigma_zone_partition, spatial_project,
-                               temporal_signature, two_means_1d, unit_norm)
+                               round_class_blocks, sigma_zone_partition,
+                               spatial_project, temporal_signature, two_means_1d,
+                               unit_norm)
 from stdlens.seeding import make_rng
 
 
@@ -42,6 +44,21 @@ def test_block_locality_across_classes():
                           extract_class_gradient_block(b, 0))
     assert not np.array_equal(extract_class_gradient_block(a, 2),
                               extract_class_gradient_block(b, 2))
+
+
+def test_round_gather_equals_per_class_extraction():
+    # A, C, 4 and d pairwise distinct, so a swapped axis cannot line up
+    A, C, d, P = 2, 3, 5, 4
+    rng = make_rng(2, "gather")
+    stack = DetectorWeights(rng.standard_normal((P, A, C + 1, d)),
+                            rng.standard_normal((P, A, C, 4, d)),
+                            rng.standard_normal((P, A, C, d)))
+    updates = [ClientUpdate(10 + i, 7, stack[i], 12) for i in range(P)]
+    blocks = round_class_blocks(updates)
+    assert blocks.shape == (P, C, 6 * A * d)
+    for i, u in enumerate(updates):
+        for c in range(C):
+            assert np.array_equal(blocks[i, c], extract_class_gradient_block(u.delta, c))
 
 
 def test_block_rejects_bad_class():
@@ -321,8 +338,20 @@ def test_unit_norm_finite_norm_blocks_take_the_plain_path():
 def test_defense_admits_an_overflowing_block_as_a_unit_vector():
     defense = StdLensDefense(num_classes=1, window=10, omega=1, confidence=0.99)
     defense.observe_contributions(0, [GradientContribution(5, 0, 0, np.full(6, 1e200))])
-    (g,) = defense._current[0]
-    assert np.linalg.norm(g.block) == pytest.approx(1.0)
+    ((ids, _, blocks),) = defense._chunks[0]
+    assert ids.tolist() == [5]
+    assert np.linalg.norm(blocks[0]) == pytest.approx(1.0)
+
+
+def test_row_wise_admission_is_bitwise_unit_norm():
+    rng = make_rng(13, "unit")
+    blocks = rng.standard_normal((300, 288)) * np.exp(rng.uniform(-30, 30, (300, 1)))
+    blocks[:4] = [np.full(288, 1e200), np.full(288, 1e-170), np.zeros(288),
+                  np.r_[1e200, np.zeros(287)]]
+    defense = StdLensDefense(num_classes=1, window=10, omega=1, confidence=0.99)
+    admitted = defense._admit(blocks)
+    for row, block in zip(admitted, blocks):
+        assert row.tobytes() == unit_norm(block).tobytes()
 
 
 # -- the full defense on synthetic streams -----------------------------------

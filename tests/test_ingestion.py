@@ -132,3 +132,29 @@ def test_a_repeat_in_a_second_call_for_the_round_is_dropped(name):
                        for g in contribs if g.client_id != ATTACKER]
             assert dirty.observe_contributions(r, repeats) == ([], [])
     assert dirty.revoked == clean.revoked
+
+
+def test_ids_beyond_int64_are_dropped():
+    stream = _honest_stream(4, 10, 5)
+    clean, dirty = _make("stdlens", 5), _make("stdlens", 5)
+    want = [clean.observe_contributions(r, c) for r, c in enumerate(stream)]
+    huge = [GradientContribution(2 ** 70, 0, 0, np.full(5, 6.0)),
+            GradientContribution(1, -2 ** 70, 0, np.full(5, 6.0)),
+            GradientContribution(1, 0, 2 ** 64, np.full(5, 6.0))]
+    got = [dirty.observe_contributions(r, (huge if r == 0 else []) + c)
+           for r, c in enumerate(stream)]
+    assert got == want
+    # a round far past every window closes the open one and admits nothing
+    assert dirty.observe_contributions(2 ** 70, huge) == ([], [])
+    assert dirty.clients == clean.clients
+
+
+def test_without_block_dim_the_first_block_fixes_the_length():
+    stream = _honest_stream(5, 10, 5)
+    clean = StdLensDefense(num_classes=2, window=WINDOW, omega=1, confidence=0.99)
+    dirty = StdLensDefense(num_classes=2, window=WINDOW, omega=1, confidence=0.99)
+    want = [clean.observe_contributions(r, c) for r, c in enumerate(stream)]
+    got = [dirty.observe_contributions(r, c + [GradientContribution(0, r, 0, np.ones(3))])
+           for r, c in enumerate(stream)]
+    assert got == want
+    assert dirty.block_dim == 5

@@ -13,8 +13,8 @@ from stdlens.attacks import poison_class, poison_objn
 from stdlens.detection import ClientDataset, DetectorWeights, iou
 from stdlens.engine import ClientUpdate, fedavg_aggregate, run_federation
 from stdlens.config import CONFIDENCE_TO_Z
-from stdlens.forensics import (GradientContribution, sigma_zone_partition,
-                               temporal_signature, two_means_1d, update_contributions)
+from stdlens.forensics import (GradientContribution, round_class_blocks,
+                               sigma_zone_partition, temporal_signature, two_means_1d)
 from stdlens.metrics import _with_defense, _with_seed, build_defense
 from stdlens.replay import replay_stream
 from stdlens.seeding import derive_seed
@@ -219,9 +219,14 @@ def _tiny_stream(seed):
     """The per-round contribution stream of an undefended tiny-config run."""
     cfg = _with_seed(_with_defense(make_tiny_config(), "none"), seed)
     stream = []
-    run_federation(cfg, stream_hook=lambda rnd, updates: stream.append(
-        [g for u in updates for g in update_contributions(u, cfg.task.num_classes)]),
-        eval_every=cfg.federation.rounds)
+
+    def hook(rnd, updates):
+        blocks = round_class_blocks(updates)
+        stream.append([GradientContribution(u.client_id, u.round, c, blocks[i, c])
+                       for i, u in enumerate(updates)
+                       for c in range(cfg.task.num_classes)])
+
+    run_federation(cfg, stream_hook=hook, eval_every=cfg.federation.rounds)
     return cfg, stream
 
 

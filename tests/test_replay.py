@@ -1,4 +1,5 @@
-"""Stream records: the writer's bytes against the sorted-key reference."""
+"""Stream records: the writer's bytes against the sorted-key reference, and
+the dump hook's blocks against the per-class extraction."""
 
 import io
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from stdlens.config import load_config
-from stdlens.forensics import GradientContribution, update_contributions
+from stdlens.forensics import GradientContribution, extract_class_gradient_block
 from stdlens.metrics import run_experiment
 from stdlens.replay import _write_records, stream_dump_hook
 
@@ -49,7 +50,9 @@ def test_a_dumped_canonical_stream_matches_the_reference(tmp_path):
     def hook(round_idx, updates):
         dump(round_idx, updates)
         reference.append(_reference_records(
-            g for u in updates for g in update_contributions(u, num_classes)))
+            GradientContribution(u.client_id, u.round, c,
+                                 extract_class_gradient_block(u.delta, c))
+            for u in updates for c in range(num_classes)))
 
     try:
         run_experiment(cfg, stream_hook=hook, eval_every=cfg.federation.rounds)
