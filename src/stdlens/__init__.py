@@ -9,7 +9,7 @@ from .detection import (ClientDataset, DetectorWeights, average_precision,
 from .engine import (ClientUpdate, PopulationExhaustedError, RunLog,
                      fedavg_aggregate, local_update, run_federation,
                      select_participants)
-from .forensics import (GradientContribution, StdLensDefense, cluster_2d,
+from .forensics import (GradientContribution, StdLensDefense,
                         extract_class_gradient_block, flag_suspect_classes,
                         sigma_zone_partition, spatial_project, temporal_signature)
 from .metrics import DefenseScore, compare_defenses, defense_metrics, run_experiment

@@ -22,7 +22,7 @@ __all__ = [
     "effective_poison_for_round",
 ]
 
-SHRINK_FACTOR = 0.10   # box scale of the bbox poison in `apply_poison`
+SHRINK_FACTOR = 0.10   # box scale of the bbox poison
 
 
 def poison_class(dataset: ClientDataset, source: int, target: int,
@@ -38,15 +38,13 @@ def poison_class(dataset: ClientDataset, source: int, target: int,
     return out
 
 
-def poison_bbox(dataset: ClientDataset, source: int, shrink_factor: float,
-                rng: np.random.Generator, sample_mask=None) -> ClientDataset:
+def poison_bbox(dataset: ClientDataset, source: int, rng: np.random.Generator,
+                sample_mask=None) -> ClientDataset:
     """Shrink source-class boxes and jitter their centers.
 
-    Width/height scale by shrink_factor; the center moves uniformly within
+    Width/height scale by SHRINK_FACTOR; the center moves uniformly within
     the extent freed by the shrink, clipped to [0,1].
     """
-    if not (0.0 < shrink_factor <= 1.0):
-        raise ValueError("shrink_factor must be in (0,1]")
     out = dataset.copy()
     hit = out.classes == source
     if sample_mask is not None:
@@ -54,12 +52,12 @@ def poison_bbox(dataset: ClientDataset, source: int, shrink_factor: float,
     idx = np.argwhere(hit)
     for i, a in idx:
         cx, cy, w, h = out.bboxes[i, a]
-        jx = (1.0 - shrink_factor) * w / 2.0
-        jy = (1.0 - shrink_factor) * h / 2.0
+        jx = (1.0 - SHRINK_FACTOR) * w / 2.0
+        jy = (1.0 - SHRINK_FACTOR) * h / 2.0
         out.bboxes[i, a, 0] = np.clip(cx + rng.uniform(-jx, jx), 0.0, 1.0)
         out.bboxes[i, a, 1] = np.clip(cy + rng.uniform(-jy, jy), 0.0, 1.0)
-        out.bboxes[i, a, 2] = max(w * shrink_factor, 1e-3)
-        out.bboxes[i, a, 3] = max(h * shrink_factor, 1e-3)
+        out.bboxes[i, a, 2] = max(w * SHRINK_FACTOR, 1e-3)
+        out.bboxes[i, a, 3] = max(h * SHRINK_FACTOR, 1e-3)
     return out
 
 
@@ -81,7 +79,7 @@ def apply_poison(spec: AttackSpec, dataset: ClientDataset, rng: np.random.Genera
     if spec.poison_type == "class":
         return poison_class(dataset, spec.source_class, spec.target_class, sample_mask)
     if spec.poison_type == "bbox":
-        return poison_bbox(dataset, spec.source_class, SHRINK_FACTOR, rng, sample_mask)
+        return poison_bbox(dataset, spec.source_class, rng, sample_mask)
     if spec.poison_type == "objn":
         return poison_objn(dataset, spec.source_class, background_class, sample_mask)
     raise ValueError(f"unknown poison type {spec.poison_type!r}")

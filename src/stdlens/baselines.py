@@ -1,17 +1,17 @@
 """Comparison defenses.
 
-Two stateless per-window decision rules: revoke the smaller spatial
-cluster, and spectral outlier removal by top singular-vector scores.
-Both run in the same windowing shell as the main defense.
+Two stateless per-window decision rules that draw no random number:
+revoke the smaller side of the SSC1 split that flags a class (the split
+`stdlens` analyses), and spectral outlier removal by top singular-vector
+scores. Both run in the same windowing shell as the main defense.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .forensics import (WindowedDefense, cluster_2d, covariance_top_eigh,
-                        flag_suspect_classes, spatial_project)
-from .seeding import derive_seed
+from .forensics import (WindowedDefense, covariance_top_eigh, flag_suspect_classes,
+                        spatial_project)
 
 __all__ = [
     "defense_spatial_smaller_cluster",
@@ -21,19 +21,17 @@ __all__ = [
 ]
 
 
-def defense_spatial_smaller_cluster(classes: dict, seed: int = 0) -> list[int]:
+def defense_spatial_smaller_cluster(classes: dict) -> list[int]:
     """Revoke every client contributing to the smaller spatial cluster.
 
     `classes` maps a class id to its window's (client ids, rounds, blocks)
-    arrays. Runs per flagged class; an exact size tie means no revocation
-    for that class this window.
+    arrays. Runs per flagged class, on the SSC1 split that flagged it; an
+    exact size tie means no revocation for that class this window.
     """
     revoked: set[int] = set()
     projections = {c: spatial_project(blocks)
                    for c, (ids, _, blocks) in classes.items() if len(ids) >= 3}
-    for c in flag_suspect_classes(projections):
-        labels = cluster_2d(projections[c].ssc, "kmeans", 2,
-                            derive_seed(seed, "spatial-bl", c))
+    for c, labels in flag_suspect_classes(projections).items():
         n0, n1 = int((labels == 0).sum()), int((labels == 1).sum())
         if n0 == n1:
             continue
@@ -67,15 +65,8 @@ def defense_spectral_signature(classes: dict, removal_fraction: float) -> list[i
 
 
 class SpatialClusterDefense(WindowedDefense):
-    def __init__(self, num_classes: int, window: int, seed: int = 0,
-                 block_dim: int | None = None):
-        super().__init__(num_classes, window, block_dim)
-        self.seed = seed
-
     def _decide(self, window):
-        # seeded by the closing window's index, so a skipped window shifts no seed
-        return defense_spatial_smaller_cluster(
-            window, derive_seed(self.seed, "spatial-window", self._open + 1)), []
+        return defense_spatial_smaller_cluster(window), []
 
 
 class SpectralSignatureDefense(WindowedDefense):

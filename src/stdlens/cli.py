@@ -215,16 +215,15 @@ def verify_stats(seed, trials, samples, out):
 @main.command("replay")
 @click.option("--stream", "stream_path", type=click.Path(exists=True), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--seed", type=int, default=None)
 @click.option("--defense", type=str, default=None)
 @click.option("--out", type=click.Path(), required=True)
-def replay(stream_path, config_path, seed, defense, out):
+def replay(stream_path, config_path, defense, out):
     """Offline forensics on a dumped gradient stream."""
-    cfg = _load(config_path, seed, defense)
+    cfg = _load(config_path, None, defense)
     stream = read_stream(stream_path)
     # the stream is untrusted: the defense is sized by the config, and
     # ingestion drops contributions with a class id outside it
-    d = build_defense(cfg, cfg.federation.master_seed)
+    d = build_defense(cfg)
     if d is None:
         raise click.ClickException("replay needs a defense other than 'none'")
     events, verdicts = replay_stream(d, stream)

@@ -174,27 +174,41 @@ def validate_config(config):
     return config
 
 
-def _build_section(cls, data: dict, section: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+_SECTIONS = {"federation": FederationConfig, "task": TaskConfig,
+             "attack": AttackSpec, "defense": DefenseConfig}
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}   # a bool is none of them
+
+
+def _build_section(cls, data, section: str):
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ConfigError([f"[{section}] must be a mapping, got {data!r}"])
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
-        raise ConfigError([f"unknown key(s) in [{section}]: {sorted(unknown)}"])
+        raise ConfigError([f"unknown key(s) in [{section}]: {sorted(unknown, key=str)}"])
+    wrong = [f"[{section}] {key} must be {fields[key]}, got {value!r}"
+             for key, value in data.items()
+             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[fields[key]])]
+    if wrong:
+        raise ConfigError(wrong)
     return cls(**data)
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a YAML experiment config."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError([f"malformed YAML: {' '.join(str(exc).split())}"]) from None
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a mapping"])
-    unknown = set(raw) - {"federation", "task", "attack", "defense"}
+    unknown = set(raw) - set(_SECTIONS)
     if unknown:
-        raise ConfigError([f"unknown top-level section(s): {sorted(unknown)}"])
-    fed = _build_section(FederationConfig, raw.get("federation", {}) or {}, "federation")
-    task = _build_section(TaskConfig, raw.get("task", {}) or {}, "task")
-    attack = None
-    if raw.get("attack"):
-        attack = _build_section(AttackSpec, raw["attack"], "attack")
-    defense = _build_section(DefenseConfig, raw.get("defense", {}) or {}, "defense")
-    return validate_config(ExperimentConfig(fed, task, attack, defense))
+        raise ConfigError([f"unknown top-level section(s): {sorted(unknown, key=str)}"])
+    sections = {name: _build_section(cls, raw.get(name), name)
+                for name, cls in _SECTIONS.items()}
+    if raw.get("attack") in (None, {}):     # an empty section means no attack
+        sections["attack"] = None
+    return validate_config(ExperimentConfig(**sections))

@@ -39,6 +39,7 @@ PROTOTYPE_SCALE = 2.0    # norm of each class prototype
 CLIENT_SPREAD = 0.3      # std of the per-client feature offset (non-IID)
 CENTER_JITTER = 0.04     # half-width of the uniform box-center jitter
 SIZE_JITTER = 0.08       # std of the log-normal box-size jitter
+IOU_THRESHOLD = 0.5      # least IoU of a prediction that hits its truth
 
 
 @dataclass
@@ -324,21 +325,18 @@ def _rank_within_group(keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-def average_precision(pred_samples, pred_conf, pred_boxes, gt_samples, gt_boxes,
-                      iou_threshold: float = 0.5):
+def average_precision(pred_samples, pred_conf, pred_boxes, gt_samples, gt_boxes):
     """Single-class AP with greedy IoU matching.
 
     Predictions are (sample id, confidence, (cx, cy, w, h) box) arrays,
     truths (sample id, box) arrays. Ranked by confidence (ties by index),
     each prediction takes the highest-IoU unmatched truth of its sample
     (the first truth on a tie; a NaN IoU never matches) and is a hit if
-    that IoU reaches the threshold. AP is the step-integrated area under
+    that IoU reaches IOU_THRESHOLD. AP is the step-integrated area under
     the PR curve.
 
     Returns None when there is no ground truth (AP undefined, never 0).
     """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError("iou_threshold must be in (0,1)")
     n_gt = len(gt_samples)
     if n_gt == 0:
         return None
@@ -367,7 +365,7 @@ def average_precision(pred_samples, pred_conf, pred_boxes, gt_samples, gt_boxes,
         rows = np.flatnonzero(rank == k)
         cand = np.where(matched[group[rows]], -1.0, overlap[rows])
         best = cand.argmax(axis=1)
-        hit = cand[np.arange(len(rows)), best] >= iou_threshold
+        hit = cand[np.arange(len(rows)), best] >= IOU_THRESHOLD
         matched[group[rows[hit]], best[hit]] = True
         tp[rows[hit]] = 1.0
     cum_tp = np.cumsum(tp)

@@ -193,6 +193,7 @@ def two_means_1d(values) -> np.ndarray:
     return labels
 
 
+# no defense calls kmeans or cluster_2d; they remain for the benchmark's traces
 def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm, best of 10 seeded inits by inertia."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -235,20 +236,21 @@ def cluster_2d(points: np.ndarray, algorithm: str = "kmeans", k: int = 2,
     return kmeans(points, k, seed)
 
 
-def flag_suspect_classes(projections: dict) -> set:
-    """Classes whose SSC1 projection splits into two separated clusters.
+def flag_suspect_classes(projections: dict) -> dict:
+    """Classes whose SSC1 projection splits into two separated clusters,
+    each mapped to the `two_means_1d` labels of that split.
 
     Separation score s = |mu0 - mu1| / (sd0 + sd1 + eps) of the exact
     2-means split of the SSC1 coordinates; flag iff s >= SEPARATION_THRESHOLD.
     """
-    flagged = set()
+    flagged = {}
     for class_id, proj in projections.items():
         x = proj.ssc[:, 0]
         labels = two_means_1d(x)
         lo, hi = x[labels == 0], x[labels == 1]
         if len(hi) and (abs(lo.mean() - hi.mean()) / (lo.std() + hi.std() + 1e-12)
                         >= SEPARATION_THRESHOLD):
-            flagged.add(class_id)
+            flagged[class_id] = labels
     return flagged
 
 
@@ -569,9 +571,9 @@ class StdLensDefense(WindowedDefense):
 
         to_revoke: set[int] = self._exemplar_matches(classes)
         uncertain_clients: set[int] = self._temporal_strikes(classes)
-        for c in sorted(flagged):
-            revoked_c, uncertain_c = self._analyze_class(c, *classes[c],
-                                                         projections[c].ssc)
+        for c, labels in sorted(flagged.items()):
+            revoked_c, uncertain_c = self._analyze_class(
+                c, *classes[c], projections[c].ssc, labels)
             to_revoke |= revoked_c
             uncertain_clients |= uncertain_c
 
@@ -668,12 +670,11 @@ class StdLensDefense(WindowedDefense):
                     self._exemplars.setdefault(c, []).append(mean)
 
     def _analyze_class(self, class_id: int, ids: np.ndarray, rounds: np.ndarray,
-                       blocks: np.ndarray, ssc: np.ndarray):
-        """Tiers 2 and 3 for one flagged class, on the SSC1 2-means split
-        that flagged it. Returns (revoked client ids, uncertain client
-        ids), both empty when a cluster has no defined temporal signature."""
+                       blocks: np.ndarray, ssc: np.ndarray, labels: np.ndarray):
+        """Tiers 2 and 3 for one flagged class, on the SSC1 2-means `labels`
+        that flagged it. Returns (revoked client ids, uncertain client ids),
+        both empty when a cluster has no defined temporal signature."""
         x = ssc[:, 0]
-        labels = two_means_1d(x)
         clusters = (0, 1)
         sigs = {c: trajectory_signatures(ids[labels == c], rounds[labels == c],
                                          ssc[labels == c], self.omega)

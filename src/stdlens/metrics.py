@@ -76,8 +76,8 @@ def defense_metrics(revocation_history, roles) -> DefenseScore:
     return score
 
 
-def build_defense(config: ExperimentConfig, seed: int):
-    """Instantiate the configured defense, or None."""
+def build_defense(config: ExperimentConfig, seed=None):
+    """The configured defense, or None. `seed` is accepted and unused."""
     fed, task, d = config.federation, config.task, config.defense
     if d.name == "none":
         return None
@@ -88,7 +88,7 @@ def build_defense(config: ExperimentConfig, seed: int):
             **shell, omega=fed.temporal_window, confidence=fed.confidence_level,
             watchlist_threshold=fed.watchlist_threshold)
     if d.name == "spatial":
-        return SpatialClusterDefense(**shell, seed=seed)
+        return SpatialClusterDefense(**shell)
     if d.name == "spectral":
         return SpectralSignatureDefense(
             **shell, removal_fraction=max(fed.malicious_fraction, 0.05))
@@ -102,7 +102,7 @@ def run_experiment(config: ExperimentConfig, *, stream_hook=None, eval_every=1):
     early with the partial log instead of failing the experiment.
     """
     validate_config(config)
-    defense = build_defense(config, config.federation.master_seed)
+    defense = build_defense(config)
     try:
         weights, log = run_federation(config, defense, stream_hook=stream_hook,
                                       eval_every=eval_every)
@@ -130,8 +130,7 @@ def _final_ap(log, class_id: int):
                  if rec.ap.get(class_id) is not None), None)
 
 
-def compare_defenses(config: ExperimentConfig, defense_names, seeds,
-                     eval_every: int = 1):
+def compare_defenses(config: ExperimentConfig, defense_names, seeds):
     """Run each defense on the identical seeded attack stream.
 
     All per-(client, round) data and poisoning decisions derive from the
@@ -147,7 +146,7 @@ def compare_defenses(config: ExperimentConfig, defense_names, seeds,
     for name in defense_names:
         for seed in seeds:
             cfg = _with_seed(_with_defense(config, name), seed)
-            _, log, score = run_experiment(cfg, eval_every=eval_every)
+            _, log, score = run_experiment(cfg)
             rows.append({
                 "defense": name,
                 "seed": seed,

@@ -26,6 +26,10 @@ __all__ = [
     "random_premise_mixture",
 ]
 
+PREMISE_MARGIN = 1.5   # multiplicative margin of a random mixture on ||Delta||^2
+DRIFT_SCALE = 0.02     # per-round honest drift of a synthetic stream, times ||Delta||
+JITTER_SCALE = 0.01    # std of a replayed payload's jitter, times ||Delta||
+
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -138,10 +142,9 @@ def separability_check(mixture: MixtureSpec, n_samples: int,
                                           float(pois_viol[best]))
 
 
-def random_premise_mixture(rng: np.random.Generator, d: int, m: float,
-                           margin: float = 1.5) -> MixtureSpec:
+def random_premise_mixture(rng: np.random.Generator, d: int, m: float) -> MixtureSpec:
     """A random mixture constructed to satisfy the separability premise
-    with the given multiplicative margin on ||Delta||^2."""
+    with the multiplicative margin PREMISE_MARGIN on ||Delta||^2."""
     def random_cov(scale):
         a = rng.standard_normal((d, d))
         cov = a @ a.T / d
@@ -152,24 +155,20 @@ def random_premise_mixture(rng: np.random.Generator, d: int, m: float,
     cov_p = random_cov(phi_sq)
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
-    norm_sq = margin * 6.0 * phi_sq / m
+    norm_sq = PREMISE_MARGIN * 6.0 * phi_sq / m
     mu_h = rng.standard_normal(d)
     mu_p = mu_h - direction * np.sqrt(norm_sq)
     return MixtureSpec(PopulationSpec(mu_h, cov_h), PopulationSpec(mu_p, cov_p), m)
 
 
-def synth_two_population_stream(mixture: MixtureSpec, n_clients: int,
-                                rounds: int, seed: int, *,
-                                drift_scale: float = 0.02,
-                                jitter_scale: float = 0.01,
-                                class_id: int = 0,
-                                n_malicious: int | None = None):
+def synth_two_population_stream(mixture: MixtureSpec, n_clients: int, rounds: int,
+                                seed: int, *, n_malicious: int | None = None):
     """Synthetic gradient-contribution stream with ground-truth labels.
 
-    Honest clients draw fresh samples from H each round, displaced along a
-    fixed drift direction by round*drift_scale*||Delta||. Malicious
-    clients draw one sample from P at round 0 and re-emit it with
-    isotropic jitter of std jitter_scale*||Delta||. n_malicious defaults
+    All of class 0. Honest clients draw fresh samples from H each round,
+    displaced along a fixed direction by round*DRIFT_SCALE*||Delta||.
+    Malicious clients draw one sample from P at round 0 and re-emit it with
+    isotropic jitter of std JITTER_SCALE*||Delta||. n_malicious defaults
     to floor(m * n_clients); pass 0 for a purely benign stream.
 
     Returns (per-round lists of GradientContribution, roles dict).
@@ -185,8 +184,8 @@ def synth_two_population_stream(mixture: MixtureSpec, n_clients: int,
     d = len(np.asarray(mixture.honest.mean))
     drift_dir = rng.standard_normal(d)
     drift_dir /= np.linalg.norm(drift_dir)
-    drift = drift_scale * delta_norm * drift_dir
-    jitter = jitter_scale * delta_norm
+    drift = DRIFT_SCALE * delta_norm * drift_dir
+    jitter = JITTER_SCALE * delta_norm
 
     mal_ids = set(range(n_mal))
     roles = {i: ("malicious" if i in mal_ids else "honest") for i in range(n_clients)}
@@ -200,6 +199,6 @@ def synth_two_population_stream(mixture: MixtureSpec, n_clients: int,
                 block = payloads[i] + jitter * rng.standard_normal(d)
             else:
                 block = mixture.honest.sample(1, rng)[0] + r * drift
-            round_contribs.append(GradientContribution(i, r, class_id, block))
+            round_contribs.append(GradientContribution(i, r, 0, block))
         stream.append(round_contribs)
     return stream, roles

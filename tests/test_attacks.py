@@ -70,7 +70,7 @@ def test_class_poison_rejects_equal_classes():
 
 def test_bbox_poison_shrinks_by_factor():
     ds = _dataset()
-    out = poison_bbox(ds, 0, 0.10, make_rng(1, "bbox"))
+    out = poison_bbox(ds, 0, make_rng(1, "bbox"))
     hit = ds.classes == 0
     assert np.allclose(out.bboxes[hit][:, 2], ds.bboxes[hit][:, 2] * 0.10)
     assert np.allclose(out.bboxes[hit][:, 3], ds.bboxes[hit][:, 3] * 0.10)
@@ -85,7 +85,7 @@ def test_bbox_poison_center_jitter_bounds():
     boxes = np.tile(np.array([0.5, 0.5, 0.4, 0.4]), (n, 1, 1))
     ds = ClientDataset(np.zeros((n, 6)), np.zeros((n, 1), dtype=np.int64),
                        boxes, np.ones((n, 1), dtype=bool))
-    out = poison_bbox(ds, 0, 0.10, make_rng(2, "bbox"))
+    out = poison_bbox(ds, 0, make_rng(2, "bbox"))
     assert np.allclose(out.bboxes[..., 2], 0.04)
     assert np.allclose(out.bboxes[..., 3], 0.04)
     assert (np.abs(out.bboxes[..., 0] - 0.5) <= 0.18 + 1e-12).all()
@@ -96,11 +96,6 @@ def test_bbox_poison_concentric_iou():
     # a concentric 10%-shrunk box has IoU = 0.01 with the original
     assert iou((0.5, 0.5, 0.4, 0.4), (0.5, 0.5, 0.04, 0.04)) == pytest.approx(
         0.01, rel=1e-12)
-
-
-def test_bbox_poison_rejects_bad_factor():
-    with pytest.raises(ValueError):
-        poison_bbox(_dataset(), 0, 0.0, make_rng(0, "x"))
 
 
 # -- objn poison -------------------------------------------------------------

@@ -93,6 +93,18 @@ def test_run_rejects_invalid_config(tmp_path):
     assert "m must be < 0.5" in result.output
 
 
+@pytest.mark.parametrize("text", ["federation: [\n", "federation: 5\n",
+                                  'federation:\n  num_clients: "ten"\n'])
+def test_run_reports_a_malformed_config_without_a_traceback(tmp_path, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    result = CliRunner().invoke(main, ["run", "--config", str(bad),
+                                       "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: ")
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_compare_defenses_csv(tiny_yaml, tmp_path):
     out = tmp_path / "cmp"
     _invoke("compare-defenses", "--config", tiny_yaml, "--out", str(out),

@@ -127,6 +127,57 @@ def test_load_config_rejects_invalid_values(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_malformed_yaml(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("federation: [\n")
+    with pytest.raises(ConfigError, match="malformed YAML"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section", ["federation", "task", "attack", "defense"])
+@pytest.mark.parametrize("value", ["5", "[1, 2]", "text"])
+def test_load_config_requires_each_section_to_be_a_mapping(tmp_path, section, value):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"{section}: {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] must be a mapping"):
+        load_config(path)
+
+
+def test_load_config_reads_an_empty_section_as_defaults(tmp_path):
+    path = tmp_path / "empty_sections.yaml"
+    path.write_text("federation:\ntask: {}\nattack: {}\ndefense:\n")
+    assert load_config(path) == ExperimentConfig()
+
+
+WRONG_TYPES = [
+    ("federation", "num_clients", '"ten"'),
+    ("federation", "num_clients", "true"),
+    ("federation", "rounds", "10.0"),
+    ("federation", "learning_rate", "1e-3"),      # YAML 1.1 reads this as a string
+    ("federation", "learning_rate", "false"),
+    ("task", "feature_noise", "[1.0]"),
+    ("attack", "poison_type", "1"),
+    ("attack", "beta", "null"),
+    ("defense", "name", "3"),
+]
+
+
+@pytest.mark.parametrize("section, key, value", WRONG_TYPES)
+def test_load_config_rejects_a_value_of_the_wrong_type(tmp_path, section, key, value):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"{section}:\n  {key}: {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be"):
+        load_config(path)
+
+
+def test_load_config_takes_an_int_for_a_float_field(tmp_path):
+    path = tmp_path / "ints.yaml"
+    path.write_text("federation:\n  learning_rate: 2\ntask:\n  feature_noise: 1\n")
+    cfg = load_config(path)
+    assert cfg.federation.learning_rate == 2
+    assert cfg.task.feature_noise == 1
+
+
 def test_configs_are_immutable():
     cfg = ExperimentConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -173,13 +173,6 @@ def test_ap_duplicate_predictions_on_one_truth():
     assert ap == pytest.approx(1.0)
 
 
-def test_ap_rejects_bad_threshold():
-    none = np.zeros(0)
-    with pytest.raises(ValueError):
-        average_precision(none, none, none.reshape(0, 4), np.array([0]), np.array([_box()]),
-                          iou_threshold=0.0)
-
-
 # -- data generation ---------------------------------------------------------
 
 def test_generate_federation_data_shapes():

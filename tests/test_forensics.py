@@ -220,7 +220,9 @@ def test_two_means_1d_reaches_the_optimum_where_lloyd_stalls():
 def test_flagging_uses_the_optimal_split():
     n = len(LLOYD_TRAP)
     proj = SpatialProjection(np.c_[LLOYD_TRAP, np.zeros(n)], np.ones(2), np.eye(2, n))
-    assert flag_suspect_classes({0: proj}) == {0}
+    flagged = flag_suspect_classes({0: proj})
+    assert flagged.keys() == {0}
+    assert flagged[0].tolist() == two_means_1d(LLOYD_TRAP).tolist()
 
 
 def test_two_means_1d_edge_cases():
@@ -238,7 +240,9 @@ def test_flagging_separated_vs_single_gaussian():
     split = np.vstack([rng.standard_normal((30, 6)),
                        rng.standard_normal((10, 6)) + 25.0])
     projections = {0: spatial_project(tight), 1: spatial_project(split)}
-    assert flag_suspect_classes(projections) == {1}
+    flagged = flag_suspect_classes(projections)
+    assert flagged.keys() == {1}
+    assert flagged[1].tolist() == [0] * 30 + [1] * 10
 
 
 def test_flagging_false_positive_rate():

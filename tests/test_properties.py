@@ -232,12 +232,11 @@ def _tiny_stream(seed):
 
 def _revocations(seed, defense, stream):
     cfg, _ = _tiny_stream(seed)
-    events, _ = replay_stream(build_defense(_with_defense(cfg, defense), seed), stream)
+    events, _ = replay_stream(build_defense(_with_defense(cfg, defense)), stream)
     return set(events)
 
 
-# spatial seeds its k-means per window, so it stays out until it draws none
-@pytest.mark.parametrize("defense", ["stdlens", "spectral"])
+@pytest.mark.parametrize("defense", ["stdlens", "spatial", "spectral"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @settings(max_examples=10, deadline=None)
 @given(st.randoms(use_true_random=False))
@@ -248,7 +247,7 @@ def test_revocations_ignore_the_order_within_a_round(seed, defense, rnd):
             == _revocations(seed, defense, stream))
 
 
-@pytest.mark.parametrize("defense", ["stdlens", "spectral"])
+@pytest.mark.parametrize("defense", ["stdlens", "spatial", "spectral"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @settings(max_examples=10, deadline=None)
 @given(st.permutations(range(make_tiny_config().federation.num_clients)))
