@@ -261,27 +261,40 @@ def temporal_signature(trajectory: np.ndarray, omega: int):
     with 1-based indexing; None when n <= omega (denominator would not be
     positive).
     """
-    if omega < 1:
-        raise ValueError("omega must be >= 1")
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
     n = traj.shape[0]
-    if n <= omega:
-        return None
-    total = 0.0
-    for j in range(omega, n):                    # 0-based j = paper's j-1
-        for k in range(1, omega + 1):
-            total += np.abs(traj[j] - traj[j - k]).sum()
-    return total / (omega * n - omega * omega)
+    return trajectory_signatures(np.zeros(n, dtype=int), np.arange(n), traj, omega).get(0)
 
 
 def trajectory_signatures(client_ids, rounds, points, omega: int) -> dict:
     """Temporal signature of each client's trajectory of points in round
-    order (a stable sort), for the clients with more than `omega` points."""
-    trajectories: dict[int, list] = {}
-    for i in np.argsort(rounds, kind="stable"):
-        trajectories.setdefault(int(client_ids[i]), []).append(points[i])
-    return {cid: temporal_signature(np.array(t), omega)
-            for cid, t in trajectories.items() if len(t) > omega}
+    order (a stable sort), for the clients with more than `omega` points,
+    keyed in order of each client's first round.
+
+    One pass over all clients: every (j, j-k) pair of every trajectory
+    gets its L1 distance, and each client's distances are totalled in
+    j-major, k-minor order from 0.0, the order of the formula's double sum.
+    """
+    if omega < 1:
+        raise ValueError("omega must be >= 1")
+    ids = np.asarray(client_ids)
+    by_round = np.argsort(rounds, kind="stable")
+    by_client = np.argsort(ids[by_round], kind="stable")
+    order = by_round[by_client]
+    ids, pts = ids[order], np.asarray(points, dtype=float)[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(first)
+    owner = np.cumsum(first) - 1
+    sizes = np.diff(np.append(starts, len(ids)))
+    # j-major, k-minor pairs at positions j >= omega of each trajectory
+    late = np.flatnonzero(np.arange(len(ids)) - starts[owner] >= omega)
+    j = np.repeat(late, omega)
+    k = np.tile(np.arange(1, omega + 1), len(late))
+    totals = np.bincount(owner[j], weights=np.abs(pts[j] - pts[j - k]).sum(axis=1),
+                         minlength=len(starts))
+    return {int(ids[starts[g]]): totals[g] / (omega * sizes[g] - omega * omega)
+            for g in np.argsort(by_client[starts]) if sizes[g] > omega}
 
 
 def identify_suspicious_cluster(per_cluster_signatures: dict, cluster_sizes: dict):

@@ -10,6 +10,7 @@ running any federated training.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,25 +39,41 @@ class PopulationSpec:
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+            raise ValueError("covariance must be a square matrix")
+        if np.shape(self.mean) != cov.shape[:1]:
+            raise ValueError("mean must be a vector of the covariance's dimension")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(cov).min() < -1e-12:
             raise ValueError("covariance must be positive semi-definite")
 
+    @property
+    def dim(self) -> int:
+        return len(self.mean)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """F with F Fᵀ = cov, the factor `Generator.multivariate_normal`
+        builds: the Cholesky factor, or u·sqrt(s) from the SVD when the
+        covariance is singular. So `mean + z @ F.T` over standard normals z
+        gives that method's samples bit for bit."""
+        cov = np.asarray(self.cov, dtype=float)
+        try:
+            return np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            u, s, _ = np.linalg.svd(cov)
+            return u * np.sqrt(s)
+
+    def transform(self, z: np.ndarray) -> np.ndarray:
+        """Samples from standard normals `z` of shape (..., dim)."""
+        return np.asarray(self.mean, dtype=float) + z @ self.factor.T
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.multivariate_normal(self.mean, self.cov, size=n,
-                                       method="cholesky" if _is_pd(self.cov) else "svd")
+        return self.transform(rng.standard_normal((n, self.dim)))
 
     def top_variance(self) -> float:
         return float(np.linalg.eigvalsh(self.cov)[-1])
-
-
-def _is_pd(cov) -> bool:
-    try:
-        np.linalg.cholesky(cov)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -68,6 +85,8 @@ class MixtureSpec:
     def __post_init__(self):
         if not (0.0 < self.m < 0.5):
             raise ValueError("m must be in (0, 0.5)")
+        if self.honest.dim != self.poisoned.dim:
+            raise ValueError("populations must have the same dimension")
 
     @property
     def delta(self) -> np.ndarray:
@@ -181,24 +200,25 @@ def synth_two_population_stream(mixture: MixtureSpec, n_clients: int, rounds: in
     delta_norm = float(np.linalg.norm(mixture.delta))
     if delta_norm <= 0:
         delta_norm = np.sqrt(mixture.phi_squared)
-    d = len(np.asarray(mixture.honest.mean))
+    d = mixture.honest.dim
     drift_dir = rng.standard_normal(d)
     drift_dir /= np.linalg.norm(drift_dir)
     drift = DRIFT_SCALE * delta_norm * drift_dir
     jitter = JITTER_SCALE * delta_norm
 
-    mal_ids = set(range(n_mal))
-    roles = {i: ("malicious" if i in mal_ids else "honest") for i in range(n_clients)}
-    payloads = {i: mixture.poisoned.sample(1, rng)[0] for i in sorted(mal_ids)}
+    roles = {i: ("malicious" if i < n_mal else "honest") for i in range(n_clients)}
+    # Stacked (k, 1, d) products form each row as a 1×d product, as
+    # `sample(1, rng)` does, so the blocks equal per-client draws bit for
+    # bit; one flat (k, d) GEMM groups the sums differently.
+    payloads = mixture.poisoned.transform(rng.standard_normal((n_mal, 1, d)))[:, 0]
 
     stream = []
     for r in range(rounds):
-        round_contribs = []
-        for i in range(n_clients):
-            if i in mal_ids:
-                block = payloads[i] + jitter * rng.standard_normal(d)
-            else:
-                block = mixture.honest.sample(1, rng)[0] + r * drift
-            round_contribs.append(GradientContribution(i, r, 0, block))
-        stream.append(round_contribs)
+        # one client after another, the malicious ids 0..n_mal-1 first, each
+        # drawing d normals: its jitter or its honest sample
+        z = rng.standard_normal((n_clients, d))
+        blocks = np.empty((n_clients, d))
+        blocks[:n_mal] = payloads + jitter * z[:n_mal]
+        blocks[n_mal:] = mixture.honest.transform(z[n_mal:, None, :])[:, 0] + r * drift
+        stream.append([GradientContribution(i, r, 0, blocks[i]) for i in range(n_clients)])
     return stream, roles

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stdlens.detection import DetectorWeights
 from stdlens.engine import ClientUpdate
@@ -10,8 +12,8 @@ from stdlens.forensics import (GradientContribution, SpatialProjection,
                                extract_class_gradient_block, flag_suspect_classes,
                                identify_suspicious_cluster, kmeans,
                                round_class_blocks, sigma_zone_partition,
-                               spatial_project, temporal_signature, two_means_1d,
-                               unit_norm)
+                               spatial_project, temporal_signature,
+                               trajectory_signatures, two_means_1d, unit_norm)
 from stdlens.seeding import make_rng
 
 
@@ -272,6 +274,47 @@ def test_temporal_signature_undefined_for_short_trajectories():
 def test_temporal_signature_rejects_bad_args():
     with pytest.raises(ValueError):
         temporal_signature(np.zeros((4, 2)), 0)
+
+
+def _reference_signature(traj, omega):
+    """The formula's double sum as a loop, in j-major, k-minor order."""
+    n = len(traj)
+    if n <= omega:
+        return None
+    total = 0.0
+    for j in range(omega, n):
+        for k in range(1, omega + 1):
+            total += np.abs(traj[j] - traj[j - k]).sum()
+    return total / (omega * n - omega * omega)
+
+
+def _reference_signatures(client_ids, rounds, points, omega):
+    """One trajectory per client in stable round order, keyed by first round."""
+    trajectories = {}
+    for i in np.argsort(rounds, kind="stable"):
+        trajectories.setdefault(int(client_ids[i]), []).append(points[i])
+    return {cid: _reference_signature(np.array(t), omega)
+            for cid, t in trajectories.items() if len(t) > omega}
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 40),
+       clients=st.integers(1, 6), n_rounds=st.integers(1, 10),
+       dim=st.integers(1, 300), omega=st.integers(1, 3))
+@example(seed=0, n=0, clients=3, n_rounds=4, dim=5, omega=1)       # empty window
+@example(seed=1, n=12, clients=1, n_rounds=12, dim=7, omega=2)     # one client
+@example(seed=2, n=30, clients=4, n_rounds=2, dim=130, omega=3)    # repeated rounds
+def test_trajectory_signatures_equal_the_double_loop(seed, n, clients, n_rounds,
+                                                     dim, omega):
+    rng = make_rng(seed, "signature-oracle")
+    ids = rng.integers(0, clients, n)
+    rounds = rng.integers(0, n_rounds, n)    # unsorted, with repeats
+    points = 10 * rng.standard_normal((n, dim))
+    got = trajectory_signatures(ids, rounds, points, omega)
+    want = _reference_signatures(ids, rounds, points, omega)
+    assert list(got.items()) == list(want.items())
+    for cid in set(ids.tolist()):
+        traj = points[ids == cid][np.argsort(rounds[ids == cid], kind="stable")]
+        assert temporal_signature(traj, omega) == _reference_signature(traj, omega)
 
 
 def test_suspicious_cluster_lower_mean_wins():

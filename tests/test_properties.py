@@ -236,13 +236,24 @@ def _revocations(seed, defense, stream):
     return set(events)
 
 
+def _reversed(contribs):
+    return contribs[::-1]
+
+
+def _rotated(contribs):
+    return contribs[1:] + contribs[:1]
+
+
 @pytest.mark.parametrize("defense", ["stdlens", "spatial", "spectral"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @settings(max_examples=10, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_revocations_ignore_the_order_within_a_round(seed, defense, rnd):
+@given(st.randoms(use_true_random=False).map(
+    lambda rnd: lambda contribs: rnd.sample(contribs, len(contribs))))
+@example(_reversed)
+@example(_rotated)
+def test_revocations_ignore_the_order_within_a_round(seed, defense, reorder):
     _, stream = _tiny_stream(seed)
-    shuffled = [rnd.sample(contribs, len(contribs)) for contribs in stream]
+    shuffled = [reorder(contribs) for contribs in stream]
     assert (_revocations(seed, defense, shuffled)
             == _revocations(seed, defense, stream))
 
