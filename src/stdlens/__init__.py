@@ -14,7 +14,6 @@ from .forensics import (GradientContribution, StdLensDefense,
                         sigma_zone_partition, spatial_project, temporal_signature)
 from .metrics import DefenseScore, compare_defenses, defense_metrics, run_experiment
 from .robust import (MixtureSpec, PopulationSpec, separability_check,
-                     synth_two_population_stream, theorem1_premise_holds,
-                     top_eigenpair)
+                     synth_two_population_stream, theorem1_premise_holds)
 
 __version__ = "0.1.0"

@@ -25,6 +25,10 @@ from .seeding import make_rng
 
 __all__ = ["main"]
 
+# a path of the wrong kind fails at parsing, before any work starts
+IN_FILE = click.Path(exists=True, dir_okay=False)
+OUT_DIR = click.Path(file_okay=False)
+
 
 def _load(config_path, seed, defense):
     try:
@@ -65,9 +69,9 @@ def main():
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=IN_FILE, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=OUT_DIR, required=True)
 @click.option("--defense", type=str, default=None)
 @click.option("--dump-stream", is_flag=True, help="also dump the gradient stream")
 def run(config_path, seed, out, defense, dump_stream):
@@ -100,10 +104,10 @@ def run(config_path, seed, out, defense, dump_stream):
 
 
 @main.command("compare-defenses")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=IN_FILE, default=None)
 @click.option("--seed", "seeds", type=int, multiple=True,
               help="repeatable; defaults to seeds 0..4")
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=OUT_DIR, required=True)
 @click.option("--defense", "defenses", type=str, multiple=True,
               help="repeatable; defaults to stdlens, spatial, spectral, none")
 def compare(config_path, seeds, out, defenses):
@@ -128,9 +132,9 @@ def compare(config_path, seeds, out, defenses):
 
 
 @main.command("attack-sweep")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--config", "config_path", type=IN_FILE, default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=OUT_DIR, required=True)
 @click.option("--defense", type=str, default=None)
 @click.option("--m", "m_grid", type=str, default="", help="comma list of malicious fractions")
 @click.option("--beta", "beta_grid", type=str, default="", help="comma list of betas")
@@ -186,7 +190,7 @@ def attack_sweep(config_path, seed, out, defense, m_grid, beta_grid, gamma_grid,
 @click.option("--seed", type=int, default=0)
 @click.option("--trials", type=click.IntRange(min=1), default=100)
 @click.option("--samples", type=click.IntRange(min=1000), default=10000)
-@click.option("--out", type=click.Path(), default=None)
+@click.option("--out", type=OUT_DIR, default=None)
 def verify_stats(seed, trials, samples, out):
     """Premise/separability report over random two-population mixtures."""
     rng = make_rng(seed, "verify-stats")
@@ -213,10 +217,10 @@ def verify_stats(seed, trials, samples, out):
 
 
 @main.command("replay")
-@click.option("--stream", "stream_path", type=click.Path(exists=True), required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--stream", "stream_path", type=IN_FILE, required=True)
+@click.option("--config", "config_path", type=IN_FILE, default=None)
 @click.option("--defense", type=str, default=None)
-@click.option("--out", type=click.Path(), required=True)
+@click.option("--out", type=OUT_DIR, required=True)
 def replay(stream_path, config_path, defense, out):
     """Offline forensics on a dumped gradient stream."""
     cfg = _load(config_path, None, defense)

@@ -36,8 +36,6 @@ from .seeding import derive_seed
 
 __all__ = [
     "GradientContribution",
-    "SpatialProjection",
-    "ClientDossier",
     "extract_class_gradient_block",
     "round_class_blocks",
     "covariance_top_eigh",
@@ -107,14 +105,6 @@ def round_class_blocks(updates) -> np.ndarray:
     return flat[:, _block_table(*updates[0].delta.shape_params)]
 
 
-@dataclass
-class SpatialProjection:
-    ssc: np.ndarray             # (n, 2) coordinates on (SSC1, SSC2)
-    eigenvalues: np.ndarray     # (2,) descending
-    eigenvectors: np.ndarray    # (2, dim) rows = v1, v2
-    degenerate: bool = False
-
-
 def covariance_top_eigh(samples: np.ndarray, k: int):
     """(centered rows, top-k eigenvalues ascending, unit eigenvector
     columns) of the sample covariance, unsigned as eigh returns them.
@@ -137,12 +127,12 @@ def covariance_top_eigh(samples: np.ndarray, k: int):
     return centered, vals[d - k:], vecs[:, d - k:]
 
 
-def spatial_project(blocks: np.ndarray) -> SpatialProjection:
-    """Project gradient blocks onto their top-2 covariance eigenvectors.
+def spatial_project(blocks: np.ndarray) -> np.ndarray:
+    """(n, 2) coordinates (SSC1, SSC2) of gradient blocks on their top-2
+    covariance eigenvectors.
 
-    Signs are canonicalized so the coordinate of largest magnitude on
-    each axis is positive. Rank-1 input yields zero SSC2 with a
-    degenerate flag rather than an error.
+    Each axis is flipped so its coordinate of largest magnitude is
+    positive. Rank-1 input yields an all-zero SSC2 rather than an error.
     """
     blocks = np.asarray(blocks, dtype=float)
     n, dim = blocks.shape
@@ -150,21 +140,14 @@ def spatial_project(blocks: np.ndarray) -> SpatialProjection:
         raise ValueError("need at least 3 contributions")
     if dim < 2:
         raise ValueError("block dimension must be >= 2")
-    centered, vals, vecs = covariance_top_eigh(blocks, 2)
-    order = np.argsort(vals)[::-1]
-    vals = np.maximum(vals[order], 0.0)
-    vecs = vecs[:, order].T                       # rows v1, v2
-    ssc = centered @ vecs.T
-    degenerate = vals[1] <= 1e-12 * max(vals[0], 1.0)
-    if degenerate:
+    centered, vals, vecs = covariance_top_eigh(blocks, 2)      # ascending
+    ssc = centered @ vecs[:, [1, 0]]
+    if vals[0] <= 1e-12 * max(vals[1], 1.0):
         ssc[:, 1] = 0.0
-        vals[1] = 0.0
     for axis in range(2):
-        i = np.argmax(np.abs(ssc[:, axis]))
-        if ssc[i, axis] < 0:
+        if ssc[np.argmax(np.abs(ssc[:, axis])), axis] < 0:
             ssc[:, axis] = -ssc[:, axis]
-            vecs[axis] = -vecs[axis]
-    return SpatialProjection(ssc, vals, vecs, degenerate)
+    return ssc
 
 
 def two_means_1d(values) -> np.ndarray:
@@ -237,15 +220,16 @@ def cluster_2d(points: np.ndarray, algorithm: str = "kmeans", k: int = 2,
 
 
 def flag_suspect_classes(projections: dict) -> dict:
-    """Classes whose SSC1 projection splits into two separated clusters,
-    each mapped to the `two_means_1d` labels of that split.
+    """Classes whose SSC1 coordinates split into two separated clusters,
+    given class id -> `spatial_project` coordinates, each flagged class
+    mapped to the `two_means_1d` labels of that split.
 
     Separation score s = |mu0 - mu1| / (sd0 + sd1 + eps) of the exact
     2-means split of the SSC1 coordinates; flag iff s >= SEPARATION_THRESHOLD.
     """
     flagged = {}
-    for class_id, proj in projections.items():
-        x = proj.ssc[:, 0]
+    for class_id, ssc in projections.items():
+        x = ssc[:, 0]
         labels = two_means_1d(x)
         lo, hi = x[labels == 0], x[labels == 1]
         if len(hi) and (abs(lo.mean() - hi.mean()) / (lo.std() + hi.std() + 1e-12)
@@ -407,12 +391,6 @@ def _exemplar_candidates(ids: np.ndarray, blocks: np.ndarray, on_list: np.ndarra
     return clients[valid & (far == 0)].tolist()
 
 
-@dataclass
-class ClientDossier:
-    watchlist_count: int = 0
-    verdict: str = "active"              # active | watchlisted | revoked
-
-
 def unit_norm(block: np.ndarray) -> np.ndarray:
     """The block at unit L2 norm; zero and non-finite blocks stay as they
     are. A finite nonzero block whose norm overflows or underflows is first
@@ -554,7 +532,7 @@ class StdLensDefense(WindowedDefense):
         self.omega = omega
         self.confidence = confidence
         self.watchlist_threshold = watchlist_threshold
-        self.dossiers: dict[int, ClientDossier] = {}
+        self.strikes: dict[int, int] = {}          # client id -> watchlist strikes
         self._exemplars: dict[int, list] = {}      # class_id -> revoked block means
 
     def _admit(self, blocks: np.ndarray) -> np.ndarray:
@@ -586,22 +564,17 @@ class StdLensDefense(WindowedDefense):
         uncertain_clients: set[int] = self._temporal_strikes(classes)
         for c, labels in sorted(flagged.items()):
             revoked_c, uncertain_c = self._analyze_class(
-                c, *classes[c], projections[c].ssc, labels)
+                c, *classes[c], projections[c], labels)
             to_revoke |= revoked_c
             uncertain_clients |= uncertain_c
 
-        watchlist_events = []
-        for cid in sorted(uncertain_clients - self.revoked):
-            dossier = self.dossiers.setdefault(cid, ClientDossier())
-            dossier.watchlist_count += 1
-            dossier.verdict = "watchlisted"
-            watchlist_events.append(cid)
-            if dossier.watchlist_count >= self.watchlist_threshold:
+        watchlist_events = sorted(uncertain_clients - self.revoked)
+        for cid in watchlist_events:
+            self.strikes[cid] = self.strikes.get(cid, 0) + 1
+            if self.strikes[cid] >= self.watchlist_threshold:
                 to_revoke.add(cid)
 
         revocations = sorted(to_revoke - self.revoked)
-        for cid in revocations:
-            self.dossiers.setdefault(cid, ClientDossier()).verdict = "revoked"
         if revocations:
             # an attacker's blocks in classes its poison does not touch look
             # honest; the outside-the-population-radius requirement inside
@@ -622,8 +595,7 @@ class StdLensDefense(WindowedDefense):
         whole-array bound (`_exemplar_candidates`) rules out almost every
         client first; only the rest take the exact per-client test.
         """
-        watched = [cid for cid, d in self.dossiers.items()
-                   if d.verdict == "watchlisted"]
+        watched = list(self.strikes.keys() - self.revoked)
         z = CONFIDENCE_TO_Z[self.confidence]
         matches: set[int] = set()
         for c, (ids, _, blocks) in classes.items():

@@ -1,6 +1,6 @@
 """Empirical separability machinery.
 
-Two-population Gaussian mixtures, top-eigenvector projections and a
+Two-population Gaussian mixtures, a top-eigenvector projection and a
 brute-force threshold scan to check whether the honest and poisoned
 populations are separable below the contamination rate m. Also supplies
 synthetic gradient-contribution streams for exercising defenses without
@@ -20,7 +20,6 @@ from .seeding import make_rng
 __all__ = [
     "PopulationSpec",
     "MixtureSpec",
-    "top_eigenpair",
     "theorem1_premise_holds",
     "separability_check",
     "synth_two_population_stream",
@@ -97,21 +96,6 @@ class MixtureSpec:
         return max(self.honest.top_variance(), self.poisoned.top_variance())
 
 
-def top_eigenpair(samples: np.ndarray):
-    """Top eigenvector/value of the sample covariance, sign-canonicalized
-    so the largest-magnitude entry is positive."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
-    centered, vals, vecs = covariance_top_eigh(samples, 1)
-    if np.allclose(centered, 0.0):
-        return np.eye(centered.shape[1])[0], 0.0
-    v = vecs[:, 0]
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return v, float(max(vals[0], 0.0))
-
-
 def theorem1_premise_holds(mixture: MixtureSpec):
     """Check ||Delta||^2 >= 6*phi^2/m.
 
@@ -139,9 +123,8 @@ def separability_check(mixture: MixtureSpec, n_samples: int,
     xh = mixture.honest.sample(n_h, rng)
     xp = mixture.poisoned.sample(n_p, rng)
     pooled = np.vstack([xh, xp])
-    v, _ = top_eigenpair(pooled)
-    mu = pooled.mean(axis=0)
-    t = np.abs((pooled - mu) @ v)
+    centered, _, vecs = covariance_top_eigh(pooled, 1)
+    t = np.abs(centered @ vecs[:, 0])
     is_honest = np.zeros(n_samples, dtype=bool)
     is_honest[:n_h] = True
 

@@ -105,6 +105,17 @@ def test_run_reports_a_malformed_config_without_a_traceback(tmp_path, text):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_run_that_revokes_every_client_writes_the_partial_log(tmp_path):
+    config = tmp_path / "exhausted.yaml"
+    config.write_text(TINY_YAML.replace("rounds: 10", "rounds: 20"))
+    out = tmp_path / "out"
+    _invoke("run", "--config", str(config), "--defense", "spectral", "--out", str(out))
+    records = (out / "runlog.jsonl").read_text().splitlines()[1:]
+    assert [json.loads(line)["round"] for line in records] == list(range(10))
+    score = json.loads((out / "score.json").read_text())
+    assert (score["true_positives"], score["false_positives"]) == (2, 8)
+
+
 def test_compare_defenses_csv(tiny_yaml, tmp_path):
     out = tmp_path / "cmp"
     _invoke("compare-defenses", "--config", tiny_yaml, "--out", str(out),
@@ -177,6 +188,28 @@ def test_verify_stats_rejects_an_out_of_range_count(tmp_path, flag, value):
     assert result.exit_code == 2
     assert f"Invalid value for '{flag}'" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["run", "--config", "{yaml}", "--out", "{yaml}"], "--out"),
+    (["compare-defenses", "--config", "{yaml}", "--out", "{yaml}"], "--out"),
+    (["attack-sweep", "--config", "{yaml}", "--out", "{yaml}"], "--out"),
+    (["verify-stats", "--out", "{yaml}"], "--out"),
+    (["replay", "--stream", "{yaml}", "--out", "{yaml}"], "--out"),
+    (["replay", "--stream", "{dir}", "--out", "{dir}/rep"], "--stream"),
+    (["run", "--config", "{dir}", "--out", "{dir}/out"], "--config"),
+], ids=["run-out", "compare-defenses-out", "attack-sweep-out", "verify-stats-out",
+        "replay-out", "replay-stream", "run-config"])
+def test_a_path_of_the_wrong_kind_is_rejected_before_any_work(tiny_yaml, tmp_path,
+                                                              args, flag):
+    # an existing file where a directory goes, or a directory where a file goes
+    before = sorted(tmp_path.iterdir())
+    result = CliRunner().invoke(main, [a.format(yaml=tiny_yaml, dir=tmp_path)
+                                       for a in args])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{flag}'" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("defense", ["stdlens", "spatial", "spectral"])

@@ -1,23 +1,37 @@
 """The exemplar archive's match test against the per-client loop it replaced,
-kept here as the oracle."""
+kept here as the oracle with its own copies of the radius and exemplar
+helpers, so an edit to the module's helpers cannot move the reference."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stdlens.config import CONFIDENCE_TO_Z
-from stdlens.forensics import (ClientDossier, StdLensDefense, _near_exemplar,
-                               _population_radius)
+from stdlens.forensics import StdLensDefense
 
 HONEST_IDS, ATTACKER_IDS, BOUNDARY_ID = range(0, 100), range(100, 200), 200
+
+
+def _population_radius(rest, z):
+    center = rest.mean(axis=0)
+    dist = np.linalg.norm(rest - center, axis=1)
+    return center, dist.mean() + z * dist.std(ddof=1)
+
+
+def _near_exemplar(pts, exemplars, center, factor):
+    near = np.zeros(len(pts), dtype=bool)
+    for e in exemplars:
+        near |= np.linalg.norm(pts - e, axis=1) < factor * np.linalg.norm(e - center)
+    return near
 
 
 def _reference_matches(defense, classes) -> set:
     """Every client of every class with exemplars takes the exact test: all
     its rows outside the radius of the other off-watchlist rows, and each
     closer to some exemplar than 0.75 times that exemplar's distance to
-    their center."""
-    watched = {cid for cid, d in defense.dossiers.items() if d.verdict == "watchlisted"}
+    their center. A client is on the watchlist when it has a strike and is
+    not revoked."""
+    watched = {cid for cid in defense.strikes if cid not in defense.revoked}
     z = CONFIDENCE_TO_Z[defense.confidence]
     matches = set()
     for c, (ids, _, blocks) in classes.items():
@@ -88,7 +102,7 @@ def test_exemplar_matches_equal_the_per_client_loop(seed, n_classes, dim, n_hone
         classes[c], defense._exemplars[c], watched = _class_window(
             rng, dim, n_honest, n_attackers, rows, n_exemplars, ulps, watch)
         for cid in watched:
-            defense.dossiers[cid] = ClientDossier(1, "watchlisted")
+            defense.strikes[cid] = 1
     assert defense._exemplar_matches(classes) == _reference_matches(defense, classes)
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from stdlens.detection import DetectorWeights
 from stdlens.engine import ClientUpdate
-from stdlens.forensics import (GradientContribution, SpatialProjection,
-                               StdLensDefense, cluster_2d,
+from stdlens.forensics import (GradientContribution, StdLensDefense, cluster_2d,
                                extract_class_gradient_block, flag_suspect_classes,
                                identify_suspicious_cluster, kmeans,
                                round_class_blocks, sigma_zone_partition,
@@ -70,18 +69,24 @@ def test_block_rejects_bad_class():
 
 # -- spatial projection ------------------------------------------------------
 
+def _assert_axes_signed(ssc):
+    # the largest-magnitude coordinate of each axis is positive
+    for axis in range(2):
+        assert ssc[np.argmax(np.abs(ssc[:, axis])), axis] >= 0
+
+
 def test_projection_matches_dense_eigensolver():
     rng = make_rng(1, "proj")
     blocks = rng.standard_normal((20, 8))
-    proj = spatial_project(blocks)
+    ssc = spatial_project(blocks)
     centered = blocks - blocks.mean(axis=0)
     cov = centered.T @ centered / 19
     vals = np.linalg.eigvalsh(cov)
-    assert proj.eigenvalues[0] == pytest.approx(vals[-1], rel=1e-9)
-    assert proj.eigenvalues[1] == pytest.approx(vals[-2], rel=1e-9)
-    # sample variance of SSC1 equals the top eigenvalue
-    assert proj.ssc[:, 0].var(ddof=1) == pytest.approx(proj.eigenvalues[0],
-                                                       rel=1e-6)
+    # the sample variance of SSC1 and SSC2 is the top and second eigenvalue
+    assert ssc.shape == (20, 2)
+    assert ssc[:, 0].var(ddof=1) == pytest.approx(vals[-1], rel=1e-9)
+    assert ssc[:, 1].var(ddof=1) == pytest.approx(vals[-2], rel=1e-9)
+    _assert_axes_signed(ssc)
 
 
 def _unit_rows(rng, n, dim):
@@ -98,14 +103,13 @@ def test_projection_with_fewer_rows_than_dims_matches_dense_covariance(blocks):
     n = len(blocks)
     centered = blocks - blocks.mean(axis=0)
     vals, vecs = np.linalg.eigh(centered.T @ centered / (n - 1))
-    proj = spatial_project(blocks)
+    ssc = spatial_project(blocks)
     for axis in range(2):
-        want_val, want_vec = vals[-1 - axis], vecs[:, -1 - axis]
-        assert proj.eigenvalues[axis] == pytest.approx(want_val, rel=1e-10)
-        cos = np.dot(proj.eigenvectors[axis], want_vec)
-        assert abs(cos) >= 1 - 1e-10
-        assert np.allclose(proj.ssc[:, axis], np.sign(cos) * centered @ want_vec,
-                           rtol=0, atol=1e-9)
+        want_val, want = vals[-1 - axis], centered @ vecs[:, -1 - axis]
+        assert ssc[:, axis].var(ddof=1) == pytest.approx(want_val, rel=1e-10)
+        sign = np.sign(np.dot(ssc[:, axis], want))
+        assert np.allclose(ssc[:, axis], sign * want, rtol=0, atol=1e-9)
+    _assert_axes_signed(ssc)
 
 
 @pytest.mark.parametrize("blocks", [
@@ -113,12 +117,9 @@ def test_projection_with_fewer_rows_than_dims_matches_dense_covariance(blocks):
     np.tile(make_rng(14, "gram").standard_normal(30), (6, 1)),
 ], ids=["rank-1", "all-equal"])
 def test_degenerate_projection_with_fewer_rows_than_dims(blocks):
-    proj = spatial_project(blocks)
-    assert proj.degenerate
-    assert proj.eigenvalues[1] == 0.0
-    assert not proj.ssc[:, 1].any()
-    assert np.isfinite(proj.ssc).all()
-    assert np.isfinite(proj.eigenvectors).all()
+    ssc = spatial_project(blocks)
+    assert not ssc[:, 1].any()
+    assert np.isfinite(ssc).all()
 
 
 def test_projection_preserves_planar_distances():
@@ -126,28 +127,32 @@ def test_projection_preserves_planar_distances():
     plane = rng.standard_normal((2, 10))
     coords = rng.standard_normal((15, 2))
     blocks = coords @ plane + rng.standard_normal(10)  # embedded 2D cloud
-    proj = spatial_project(blocks)
+    ssc = spatial_project(blocks)
     d_orig = np.linalg.norm(blocks[:, None] - blocks[None, :], axis=2)
-    d_proj = np.linalg.norm(proj.ssc[:, None] - proj.ssc[None, :], axis=2)
+    d_proj = np.linalg.norm(ssc[:, None] - ssc[None, :], axis=2)
     assert np.allclose(d_orig, d_proj, atol=1e-9)
 
 
-def test_projection_eigenvectors_orthonormal():
+def test_projection_columns_are_uncorrelated():
+    # orthonormal eigenvectors give SSC columns whose sample covariance is
+    # diagonal, holding the two top eigenvalues
     rng = make_rng(3, "ortho")
-    proj = spatial_project(rng.standard_normal((12, 6)))
-    v1, v2 = proj.eigenvectors
-    assert np.linalg.norm(v1) == pytest.approx(1.0)
-    assert np.linalg.norm(v2) == pytest.approx(1.0)
-    assert abs(np.dot(v1, v2)) < 1e-9
+    blocks = rng.standard_normal((12, 6))
+    ssc = spatial_project(blocks)
+    cov = np.cov(ssc, rowvar=False)
+    assert abs(cov[0, 1]) < 1e-9
+    vals = np.linalg.eigvalsh(np.cov(blocks, rowvar=False))
+    assert np.diag(cov) == pytest.approx(vals[::-1][:2], rel=1e-9)
 
 
 def test_projection_collinear_points_degenerate():
     t = np.linspace(0, 1, 8)[:, None]
     blocks = t * np.array([[1.0, 2.0, -1.0, 0.5]])
-    proj = spatial_project(blocks)
-    assert proj.degenerate
-    assert proj.eigenvalues[1] == 0.0
-    assert not proj.ssc[:, 1].any()
+    ssc = spatial_project(blocks)
+    assert not ssc[:, 1].any()
+    # SSC1 keeps the whole spread along the line
+    assert ssc[:, 0].var(ddof=1) == pytest.approx(
+        np.var(t, ddof=1) * np.sum(blocks[-1] ** 2), rel=1e-9)
 
 
 def test_projection_needs_three_rows():
@@ -221,8 +226,7 @@ def test_two_means_1d_reaches_the_optimum_where_lloyd_stalls():
 
 def test_flagging_uses_the_optimal_split():
     n = len(LLOYD_TRAP)
-    proj = SpatialProjection(np.c_[LLOYD_TRAP, np.zeros(n)], np.ones(2), np.eye(2, n))
-    flagged = flag_suspect_classes({0: proj})
+    flagged = flag_suspect_classes({0: np.c_[LLOYD_TRAP, np.zeros(n)]})
     assert flagged.keys() == {0}
     assert flagged[0].tolist() == two_means_1d(LLOYD_TRAP).tolist()
 
@@ -452,7 +456,7 @@ def test_defense_revocation_is_terminal():
         out, _ = defense.observe_contributions(contribs[0].round, contribs)
         events += out
     assert events.count(30) <= 1
-    assert defense.dossiers[30].verdict == "revoked"
+    assert 30 in defense.revoked
 
 
 def test_client_in_the_ssc1_gap_is_watchlisted_not_revoked():
@@ -475,4 +479,4 @@ def test_client_in_the_ssc1_gap_is_watchlisted_not_revoked():
     revoked, watchlist_events = defense.window_step()
     assert revoked == [20, 21, 22]
     assert 30 in watchlist_events
-    assert defense.dossiers[30].verdict == "watchlisted"
+    assert defense.strikes[30] == 1 and 30 not in defense.revoked

@@ -2,10 +2,12 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from stdlens.metrics import (compare_defenses, comparison_table,
-                             comparison_to_csv, defense_metrics)
+from stdlens.engine import PopulationExhaustedError, run_federation
+from stdlens.metrics import (build_defense, compare_defenses, comparison_table,
+                             comparison_to_csv, defense_metrics, run_experiment)
 
 
 def _roles(n_mal, n_hon):
@@ -88,3 +90,22 @@ def test_comparison_csv_and_table_are_deterministic(tiny_config):
     table = comparison_table(rows)
     assert "none" in table
     assert comparison_to_csv(rows).splitlines()[0].startswith("defense,seed,")
+
+
+def test_population_exhaustion_ends_the_run_with_the_partial_log(tiny_config):
+    # spectral revokes a share of every class each window: by round 9 all
+    # ten clients are revoked, so round 10 cannot select two participants
+    cfg = dataclasses.replace(
+        tiny_config, federation=dataclasses.replace(tiny_config.federation, rounds=20),
+        defense=dataclasses.replace(tiny_config.defense, name="spectral"))
+    with pytest.raises(PopulationExhaustedError) as exc:
+        run_federation(cfg, build_defense(cfg))
+    weights, log, score = run_experiment(cfg)
+    assert [rec.round for rec in log.records] == list(range(10))
+    assert ([rec.to_json() for rec in log.records]
+            == [rec.to_json() for rec in exc.value.run_log.records])
+    assert sorted(cid for _, cid in log.revocation_history) == list(range(10))
+    assert score == defense_metrics(log.revocation_history, log.roles)
+    assert (score.true_positives, score.false_positives) == (2, 8)
+    assert np.isfinite(weights.to_vector()).all()
+    assert weights.to_vector().tobytes() == exc.value.weights.to_vector().tobytes()

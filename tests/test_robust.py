@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from stdlens.robust import (DRIFT_SCALE, JITTER_SCALE, MixtureSpec, PopulationSpec,
                             random_premise_mixture, separability_check,
-                            synth_two_population_stream, theorem1_premise_holds,
-                            top_eigenpair)
+                            synth_two_population_stream, theorem1_premise_holds)
 from stdlens.seeding import make_rng
 
 
@@ -67,20 +66,6 @@ def test_premise_arithmetic():
     holds, report = theorem1_premise_holds(mix)
     assert report["delta_norm_sq"] == pytest.approx(25.0)
     assert not holds
-
-
-def test_top_eigenpair_matches_known_covariance():
-    rng = make_rng(0, "eig")
-    x = rng.standard_normal((5000, 3)) * np.array([3.0, 1.0, 0.5])
-    v, lam = top_eigenpair(x)
-    assert abs(v[0]) == pytest.approx(1.0, abs=0.05)
-    assert lam == pytest.approx(9.0, rel=0.1)
-
-
-def test_top_eigenpair_degenerate_input():
-    v, lam = top_eigenpair(np.ones((5, 3)))
-    assert lam == 0.0
-    assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 def test_separability_holds_for_wide_gap():
