@@ -57,9 +57,7 @@ def defense_spectral_signature(classes: dict, removal_fraction: float) -> list[i
             continue
         centered, _, vecs = covariance_top_eigh(blocks, 1)
         scores = np.abs(centered @ vecs[:, 0])
-        k = int(np.floor(removal_fraction * len(ids) + 0.5))
-        if k < 1:
-            continue
+        k = int(np.floor(removal_fraction * len(ids) + 0.5))     # may be 0
         revoked.update(ids[np.argsort(-scores, kind="stable")[:k]].tolist())
     return sorted(revoked)
 

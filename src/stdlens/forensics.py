@@ -7,7 +7,9 @@ Three-tier pipeline run at every forensic window boundary:
    projection splits into two well-separated 1D clusters is flagged.
 2. temporal signatures: per client and per cluster, the windowed average
    pairwise dissimilarity of the client's round-ordered trajectory; the
-   cluster with the lower mean score is the suspicious one.
+   cluster with the lower mean score is the suspicious one. Means within
+   1e-12 of each other make the smaller cluster suspicious, and cluster 0
+   at equal sizes; a cluster without any signature defers the class.
 3. sigma-density uncertainty: empirical-rule intervals mean +- z*sd per
    cluster, on the first spatial component and on the client-level
    temporal scores; a point in the open gap between the two intervals,
@@ -46,7 +48,6 @@ __all__ = [
     "cluster_2d",
     "temporal_signature",
     "trajectory_signatures",
-    "identify_suspicious_cluster",
     "sigma_zone_partition",
     "unit_norm",
     "WindowedDefense",
@@ -281,25 +282,6 @@ def trajectory_signatures(client_ids, rounds, points, omega: int) -> dict:
             for g in np.argsort(by_client[starts]) if sizes[g] > omega}
 
 
-def identify_suspicious_cluster(per_cluster_signatures: dict, cluster_sizes: dict):
-    """Cluster with the lower mean temporal signature; ties go to the
-    smaller cluster. Returns None (defer) if either cluster has no client
-    with a defined signature."""
-    means = {}
-    for c, sigs in per_cluster_signatures.items():
-        defined = [v for v in sigs.values() if v is not None]
-        if not defined:
-            return None
-        means[c] = float(np.mean(defined))
-    clusters = sorted(means)
-    if len(clusters) < 2:
-        return None
-    a, b = clusters[0], clusters[1]
-    if abs(means[a] - means[b]) <= 1e-12:
-        return a if cluster_sizes[a] <= cluster_sizes[b] else b
-    return a if means[a] < means[b] else b
-
-
 def sigma_zone_partition(values: np.ndarray, assignments: np.ndarray,
                          confidence: float) -> np.ndarray:
     """Per-point uncertainty under empirical-rule zones on a 1D coordinate.
@@ -369,8 +351,8 @@ def _exemplar_candidates(ids: np.ndarray, blocks: np.ndarray, on_list: np.ndarra
     |p - e| >= factor*(|e - c'| + gap) for every exemplar e fails the exact
     test. Each computed norm is within a relative (dim + 4)*u of its true
     value, which the factor (1 + `rel`) covers with room to spare. A client
-    stays a candidate iff each of its rows passes for some exemplar, and
-    every client the exact test skips (n_rest < 3) is dropped.
+    stays a candidate iff each of its rows passes for some exemplar and
+    n_rest >= 3, the rows a confidence radius needs.
     """
     eps = np.finfo(float).eps
     n, dim = blocks.shape
@@ -391,18 +373,19 @@ def _exemplar_candidates(ids: np.ndarray, blocks: np.ndarray, on_list: np.ndarra
     return clients[valid & (far == 0)].tolist()
 
 
-def unit_norm(block: np.ndarray) -> np.ndarray:
-    """The block at unit L2 norm; zero and non-finite blocks stay as they
-    are. A finite nonzero block whose norm overflows or underflows is first
-    divided by its largest magnitude, so it keeps its direction."""
+def unit_norm(blocks: np.ndarray) -> np.ndarray:
+    """Each row of the finite (n, dim) `blocks` at unit L2 norm; a zero row
+    stays zero. A nonzero row whose norm overflows or underflows is first
+    divided by its largest magnitude, so it keeps its direction. vecdot sums
+    each row as np.linalg.norm sums one block."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(block))
-    if norm in (0.0, np.inf) and np.isfinite(block).all() and block.any():
-        block = block / np.abs(block).max()
-        norm = float(np.linalg.norm(block))
-    if norm > 0:
-        block = block / norm
-    return block
+        norms = np.sqrt(np.vecdot(blocks, blocks))
+    out = blocks / np.where(norms > 0, norms, 1.0)[:, None]
+    odd = ((norms == 0) | (norms == np.inf)) & blocks.any(axis=1)
+    if odd.any():
+        scaled = blocks[odd] / np.abs(blocks[odd]).max(axis=1, keepdims=True)
+        out[odd] = scaled / np.sqrt(np.vecdot(scaled, scaled))[:, None]
+    return out
 
 
 class WindowedDefense:
@@ -536,20 +519,11 @@ class StdLensDefense(WindowedDefense):
         self._exemplars: dict[int, list] = {}      # class_id -> revoked block means
 
     def _admit(self, blocks: np.ndarray) -> np.ndarray:
-        if not self.normalize_blocks:
-            return blocks
         # direction forensics: a replayed poison payload keeps its gradient
         # direction even while the magnitude tracks the moving global
         # model, so unit-norm blocks make temporal repetitiveness visible
-        # in any training phase. vecdot sums each row as the per-block
-        # np.linalg.norm does, so the rows are bit-identical to unit_norm's.
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.vecdot(blocks, blocks))
-        plain = (norms > 0) & (norms < np.inf)
-        out = blocks / np.where(plain, norms, 1.0)[:, None]
-        for i in np.flatnonzero(~plain):
-            out[i] = unit_norm(blocks[i])
-        return out
+        # in any training phase
+        return unit_norm(blocks) if self.normalize_blocks else blocks
 
     # -- the forensic window ----------------------------------------------
 
@@ -600,15 +574,12 @@ class StdLensDefense(WindowedDefense):
         matches: set[int] = set()
         for c, (ids, _, blocks) in classes.items():
             exemplars = self._exemplars.get(c)
-            if not exemplars or len(ids) < 4:
+            if not exemplars:
                 continue
             on_list = np.isin(ids, watched)
             for cid in _exemplar_candidates(ids, blocks, on_list, exemplars, 0.75):
                 mine = ids == cid
-                rest = blocks[~mine & ~on_list]
-                if len(rest) < 3:
-                    continue
-                center, radius = _population_radius(rest, z)
+                center, radius = _population_radius(blocks[~mine & ~on_list], z)
                 pts = blocks[mine]
                 outside = np.linalg.norm(pts - center, axis=1) > radius
                 if (outside & _near_exemplar(pts, exemplars, center, 0.75)).all():
@@ -640,8 +611,6 @@ class StdLensDefense(WindowedDefense):
         for the classes where it actually stood apart from the population."""
         z = CONFIDENCE_TO_Z[self.confidence]
         for c, (ids, _, blocks) in classes.items():
-            if len(ids) < 4:
-                continue
             rest = blocks[~np.isin(ids, revoked)]
             if len(rest) < 3:
                 continue
@@ -658,21 +627,25 @@ class StdLensDefense(WindowedDefense):
                        blocks: np.ndarray, ssc: np.ndarray, labels: np.ndarray):
         """Tiers 2 and 3 for one flagged class, on the SSC1 2-means `labels`
         that flagged it. Returns (revoked client ids, uncertain client ids),
-        both empty when a cluster has no defined temporal signature."""
+        both empty when a cluster has no temporal signature."""
         x = ssc[:, 0]
         clusters = (0, 1)
         sigs = {c: trajectory_signatures(ids[labels == c], rounds[labels == c],
                                          ssc[labels == c], self.omega)
                 for c in clusters}
-        sizes = {c: int((labels == c).sum()) for c in clusters}
-        suspicious = identify_suspicious_cluster(sigs, sizes)
-        if suspicious is None:
+        if not (sigs[0] and sigs[1]):
             return set(), set()
+        sizes = {c: int((labels == c).sum()) for c in clusters}
+        mean_sig = {c: float(np.mean(list(sigs[c].values()))) for c in clusters}
+        # the more repetitive cluster is suspicious; a tie goes to the
+        # smaller cluster, and to cluster 0 at equal sizes
+        if abs(mean_sig[0] - mean_sig[1]) <= 1e-12:
+            suspicious = 0 if sizes[0] <= sizes[1] else 1
+        else:
+            suspicious = 0 if mean_sig[0] < mean_sig[1] else 1
+        other = 1 - suspicious
 
         point_uncertain = sigma_zone_partition(x, labels, self.confidence)
-        # a decided suspicious cluster means both clusters have a signature
-        mean_sig = {c: float(np.mean(list(sigs[c].values()))) for c in clusters}
-        other = 1 - suspicious
         strong_contrast = (mean_sig[suspicious]
                            <= TEMPORAL_CONTRAST * mean_sig[other])
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
 
 @dataclass
 class DefenseScore:
-    per_round: list = field(default_factory=list)  # (round, precision|None, recall)
     round_of_max_recall: Optional[int] = None
     precision_at_max_recall: Optional[float] = None
     max_recall: float = 0.0
@@ -65,7 +64,6 @@ def defense_metrics(revocation_history, roles) -> DefenseScore:
                 fp += 1
         precision = tp / (tp + fp) if (tp + fp) else None
         recall = tp / n_mal if n_mal else 0.0
-        score.per_round.append((rnd, precision, recall))
         if recall > score.max_recall + 1e-12:
             score.max_recall = recall
             score.round_of_max_recall = rnd

@@ -113,9 +113,10 @@ def separability_check(mixture: MixtureSpec, n_samples: int,
     """Empirical separability below error rate m.
 
     Draws (1-m)n honest and mn poisoned samples, projects everything on
-    the pooled top eigenvector, and scans every midpoint threshold tau.
-    Returns (separable, best_tau, (honest_violation, poisoned_violation))
-    at the tau minimizing the larger violation."""
+    the pooled top eigenvector, and scans every midpoint threshold tau
+    between two distinct projections. Returns (separable, best_tau,
+    (honest_violation, poisoned_violation)) at the tau minimizing the
+    larger violation; all-equal projections give (False, that value, (0, 1))."""
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     n_p = int(round(mixture.m * n_samples))
@@ -130,6 +131,9 @@ def separability_check(mixture: MixtureSpec, n_samples: int,
 
     order = np.argsort(t, kind="stable")
     ts = t[order]
+    distinct = ts[1:] > ts[:-1]     # a cut between equal values splits them by label
+    if not distinct.any():
+        return False, float(ts[-1]), (0.0, 1.0)
     honest_sorted = is_honest[order]
     # counts below-or-equal each candidate cut between ts[i] and ts[i+1]
     h_le = np.cumsum(honest_sorted)
@@ -137,7 +141,7 @@ def separability_check(mixture: MixtureSpec, n_samples: int,
     taus = (ts[:-1] + ts[1:]) / 2.0
     honest_viol = (n_h - h_le[:-1]) / n_h          # Pr_H[|proj| > tau]
     pois_viol = p_le[:-1] / n_p                     # Pr_P[|proj| < tau]
-    worst = np.maximum(honest_viol, pois_viol)
+    worst = np.where(distinct, np.maximum(honest_viol, pois_viol), np.inf)
     best = int(np.argmin(worst))
     separable = bool(honest_viol[best] < mixture.m and pois_viol[best] < mixture.m)
     return separable, float(taus[best]), (float(honest_viol[best]),

@@ -166,6 +166,22 @@ def test_gamma_poisons_exact_sample_count():
     assert int((out.classes[idx] == 0).sum()) == 0
 
 
+@pytest.mark.parametrize("poison", ["bbox", "objn"])
+def test_gamma_changes_exactly_the_chosen_samples(poison):
+    ds = _dataset(n=20)
+    ds.classes[:, 0] = 0                      # a source-class object in every sample
+    ds.objn[:, 0] = True
+    ds.bboxes[:, 0] = [0.5, 0.5, 0.3, 0.3]
+    out, poisoned, idx = effective_poison_for_round(
+        _spec(poison_type=poison, gamma=0.6), 3, 5, ds, 42, background_class=BG)
+    assert poisoned
+    changed = [i for i in range(len(ds))
+               if any(getattr(out, f)[i].tobytes() != getattr(ds, f)[i].tobytes()
+                      for f in ("x", "classes", "bboxes", "objn"))]
+    assert changed == idx.tolist()
+    assert len(changed) == 12
+
+
 def test_gamma_payload_replays_identically_across_rounds():
     ds = _dataset(n=20)
     _, _, idx5 = effective_poison_for_round(_spec(gamma=0.5), 3, 5, ds, 42,

@@ -6,7 +6,8 @@ import pytest
 from stdlens.baselines import (SpatialClusterDefense, SpectralSignatureDefense,
                                defense_spatial_smaller_cluster,
                                defense_spectral_signature)
-from stdlens.forensics import GradientContribution, StdLensDefense
+from stdlens.forensics import (GradientContribution, StdLensDefense, flag_suspect_classes,
+                               spatial_project)
 from stdlens.seeding import make_rng
 
 
@@ -42,6 +43,27 @@ def test_smaller_cluster_benign_window_no_revocations():
     window = {0: _class_arrays([GradientContribution(cid, r, 0, rng.standard_normal(6))
                                 for r in range(5) for cid in range(12)])}
     assert defense_spatial_smaller_cluster(window) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_smaller_cluster_exact_size_tie_revokes_nobody():
+    rng = make_rng(3, "bl")
+    blocks = np.vstack([rng.standard_normal((6, 6)), 20.0 + rng.standard_normal((6, 6))])
+    window = {0: (np.arange(12), np.zeros(12, int), blocks)}
+    labels = flag_suspect_classes({0: spatial_project(blocks)})[0]    # flagged,
+    assert labels.sum() == 6                                          # 6 against 6
+    assert defense_spatial_smaller_cluster(window) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectral_skips_small_classes_and_empty_budgets():
+    rng = make_rng(4, "bl")
+    two_rows = (np.array([0, 1]), np.zeros(2, int), rng.standard_normal((2, 6)))
+    four_rows = (np.arange(4), np.zeros(4, int), rng.standard_normal((4, 6)))
+    assert defense_spectral_signature({0: two_rows}, removal_fraction=0.4) == []
+    # 0.1 * 4 rounds to a budget of 0 rows
+    assert defense_spectral_signature({0: four_rows}, removal_fraction=0.1) == []
+    assert defense_spectral_signature({0: four_rows}, removal_fraction=0.2) != []
 
 
 def test_spectral_scores_top_fraction():

@@ -68,6 +68,38 @@ def test_defense_name_restricted():
         validate_config(ExperimentConfig(defense=DefenseConfig(name="magic")))
 
 
+VIOLATIONS = [
+    ("federation", dict(num_clients=0), "num_clients must be positive"),
+    ("federation", dict(rounds=0), "rounds must be positive"),
+    ("federation", dict(participation_fraction=1.5), r"participation_fraction k must be in \(0,1\]"),
+    ("federation", dict(forensic_window=1), "forensic_window W must be >= 2"),
+    ("federation", dict(temporal_window=0), "temporal_window must be >= 1"),
+    ("federation", dict(watchlist_threshold=0), "watchlist_threshold must be positive"),
+    ("federation", dict(local_epochs=0), "local_epochs must be positive"),
+    ("federation", dict(learning_rate=0.0), "learning_rate must be positive"),
+    ("task", dict(num_classes=1), "num_classes C must be >= 2"),
+    ("task", dict(feature_dim=3), "feature_dim d must be >= 4"),
+    ("task", dict(num_anchors=0), "num_anchors A must be >= 1"),
+    ("task", dict(samples_per_client=0), "samples_per_client must be positive"),
+    ("task", dict(test_samples=0), "test_samples must be positive"),
+    ("attack", dict(poison_type="pixel"), "poison_type must be one of"),
+    ("attack", dict(beta=1.0), r"beta must be in \[0,1\)"),
+    ("attack", dict(gamma=0.0), r"gamma must be in \(0,1\]"),
+    ("attack", dict(onset_round=-1), "onset_round must be >= 0"),
+    ("attack", dict(target_class=7), "target_class out of range"),
+]
+_SECTION_TYPES = {"federation": FederationConfig, "task": TaskConfig, "attack": AttackSpec}
+
+
+@pytest.mark.parametrize("section, values, message", VIOLATIONS,
+                         ids=[message.split()[0] for _, _, message in VIOLATIONS])
+def test_each_violation_is_reported(section, values, message):
+    cfg = dataclasses.replace(ExperimentConfig(attack=AttackSpec()),
+                              **{section: _SECTION_TYPES[section](**values)})
+    with pytest.raises(ConfigError, match=message):
+        validate_config(cfg)
+
+
 def test_num_malicious_property():
     fed = FederationConfig(num_clients=50, malicious_fraction=0.2)
     assert fed.num_malicious == 10
@@ -140,6 +172,14 @@ def test_load_config_requires_each_section_to_be_a_mapping(tmp_path, section, va
     path = tmp_path / "bad.yaml"
     path.write_text(f"{section}: {value}\n")
     with pytest.raises(ConfigError, match=rf"\[{section}\] must be a mapping"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "text"])
+def test_load_config_requires_the_root_to_be_a_mapping(tmp_path, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="config root must be a mapping"):
         load_config(path)
 
 

@@ -9,8 +9,7 @@ from stdlens.detection import DetectorWeights
 from stdlens.engine import ClientUpdate
 from stdlens.forensics import (GradientContribution, StdLensDefense, cluster_2d,
                                extract_class_gradient_block, flag_suspect_classes,
-                               identify_suspicious_cluster, kmeans,
-                               round_class_blocks, sigma_zone_partition,
+                               kmeans, round_class_blocks, sigma_zone_partition,
                                spatial_project, temporal_signature,
                                trajectory_signatures, two_means_1d, unit_norm)
 from stdlens.seeding import make_rng
@@ -321,19 +320,53 @@ def test_trajectory_signatures_equal_the_double_loop(seed, n, clients, n_rounds,
         assert temporal_signature(traj, omega) == _reference_signature(traj, omega)
 
 
+def _analyze(trajectories):
+    """`_analyze_class` of one flagged class given as client id -> (SSC1
+    label, [(SSC1, SSC2) per round]); the SSC points stand in for the
+    blocks too."""
+    ids, rounds, labels, points = zip(*[
+        (cid, r, label, point) for cid, (label, trajectory) in trajectories.items()
+        for r, point in enumerate(trajectory)])
+    ssc = np.array(points, dtype=float)
+    defense = StdLensDefense(num_classes=1, window=10, omega=1, confidence=0.99)
+    return defense._analyze_class(0, np.array(ids), np.array(rounds), ssc, ssc,
+                                  np.array(labels))
+
+
+def _wobble(x, step, n=3):
+    """n points at SSC1 `x` whose SSC2 alternates by `step`: temporal
+    signature `step` at omega 1."""
+    return [(x, step * (r % 2)) for r in range(n)]
+
+
 def test_suspicious_cluster_lower_mean_wins():
-    sigs = {0: {1: 0.1, 2: 0.2}, 1: {3: 1.0, 4: 2.0}}
-    assert identify_suspicious_cluster(sigs, {0: 2, 1: 2}) == 0
+    # cluster 1 is the larger one, so only its lower mean makes it suspicious
+    noisy = {cid: (0, _wobble(0.0, 1.0)) for cid in (0, 1, 2)}
+    quiet = {cid: (1, _wobble(10.0, 0.01)) for cid in (3, 4, 5, 6)}
+    assert _analyze(noisy | quiet) == ({3, 4, 5, 6}, set())
+    swapped = ({cid: (0, _wobble(0.0, 0.01)) for cid in (0, 1, 2)}
+               | {cid: (1, _wobble(10.0, 1.0)) for cid in (3, 4, 5, 6)})
+    assert _analyze(swapped) == ({0, 1, 2}, set())
 
 
 def test_suspicious_cluster_tie_prefers_smaller():
-    sigs = {0: {1: 0.5}, 1: {2: 0.5, 3: 0.5}}
-    assert identify_suspicious_cluster(sigs, {0: 1, 1: 2}) == 0
+    # equal mean signatures; a client too short for a signature (one round)
+    # is watchlisted only in a suspicious cluster no larger than the other
+    small = {1: (1, _wobble(10.0, 0.5)), 2: (1, [(10.0, 0.0)])}           # 4 rows
+    large = {3: (0, _wobble(0.0, 0.5)), 4: (0, _wobble(0.0, 0.5))}       # 6 rows
+    assert _analyze(small | large) == (set(), {2})
+    # equal sizes too: cluster 0 is suspicious
+    first = {1: (0, _wobble(0.0, 0.5)), 2: (0, [(0.0, 0.0)])}
+    second = {3: (1, _wobble(10.0, 0.5)), 4: (1, [(10.0, 0.0)])}
+    assert _analyze(first | second) == (set(), {2})
 
 
 def test_suspicious_cluster_defers_without_signatures():
-    sigs = {0: {1: None}, 1: {2: 0.5}}
-    assert identify_suspicious_cluster(sigs, {0: 1, 1: 1}) is None
+    # cluster 1 has only one-round clients: deciding it suspicious would
+    # watchlist them as confident clients without a signature
+    signed = {cid: (0, _wobble(0.0, 1.0)) for cid in (0, 1, 2)}
+    unsigned = {cid: (1, [(10.0, 0.0)]) for cid in (4, 5, 6)}
+    assert _analyze(signed | unsigned) == (set(), set())
 
 
 # -- sigma zones -------------------------------------------------------------
@@ -371,19 +404,22 @@ def test_sigma_zone_rejects_unknown_confidence():
 
 def test_unit_norm_keeps_the_direction_of_an_overflowing_block():
     # 1e-170 is the mirror case: its norm underflows to 0
-    for value in (1e200, 1e-170):
-        out = unit_norm(np.full(288, value))
-        assert np.allclose(out, 1.0 / np.sqrt(288), rtol=1e-12)
-    mixed = np.array([1e200, -3e199, 0.0, 2e199])
-    assert np.allclose(unit_norm(mixed), mixed / 1e200 / np.linalg.norm(mixed / 1e200),
-                       rtol=1e-12)
+    out = unit_norm(np.array([[1e200], [1e-170]]) * np.ones(288))
+    assert np.allclose(out, 1.0 / np.sqrt(288), rtol=1e-12)
+    mixed = np.array([[1e200, -3e199, 0.0, 2e199], [1.0, 2.0, 0.0, 2.0]])
+    assert np.allclose(unit_norm(mixed)[0],
+                       mixed[0] / 1e200 / np.linalg.norm(mixed[0] / 1e200), rtol=1e-12)
+    assert unit_norm(mixed)[1].tolist() == [1 / 3, 2 / 3, 0.0, 2 / 3]
 
 
 def test_unit_norm_finite_norm_blocks_take_the_plain_path():
-    block = make_rng(12, "unit").standard_normal(288) * 1e150
-    assert np.array_equal(unit_norm(block), block / float(np.linalg.norm(block)))
-    assert not unit_norm(np.zeros(4)).any()
-    assert np.isnan(unit_norm(np.array([np.nan, 1.0]))).any()
+    blocks = make_rng(12, "unit").standard_normal((3, 288)) * 1e150
+    blocks[1] = 0.0
+    out = unit_norm(blocks)
+    for i in (0, 2):
+        assert np.array_equal(out[i], blocks[i] / float(np.linalg.norm(blocks[i])))
+    assert not out[1].any()
+    assert unit_norm(np.empty((0, 4))).shape == (0, 4)
 
 
 def test_defense_admits_an_overflowing_block_as_a_unit_vector():
@@ -394,15 +430,30 @@ def test_defense_admits_an_overflowing_block_as_a_unit_vector():
     assert np.linalg.norm(blocks[0]) == pytest.approx(1.0)
 
 
+def _scalar_unit_norm(block):
+    """Unit norm of one block, the reference for the row-wise `unit_norm`:
+    a zero or non-finite block stays as it is, and a finite block whose
+    norm overflows or underflows is first divided by its largest magnitude."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(block))
+    if norm in (0.0, np.inf) and np.isfinite(block).all() and block.any():
+        block = block / np.abs(block).max()
+        norm = float(np.linalg.norm(block))
+    if norm > 0:
+        block = block / norm
+    return block
+
+
 def test_row_wise_admission_is_bitwise_unit_norm():
     rng = make_rng(13, "unit")
     blocks = rng.standard_normal((300, 288)) * np.exp(rng.uniform(-30, 30, (300, 1)))
-    blocks[:4] = [np.full(288, 1e200), np.full(288, 1e-170), np.zeros(288),
-                  np.r_[1e200, np.zeros(287)]]
+    blocks[:6] = [np.full(288, 1e200), np.full(288, 1e-170), np.zeros(288),
+                  np.r_[1e200, np.zeros(287)], np.full(288, 1e308),
+                  np.r_[-5e-324, np.zeros(287)]]
     defense = StdLensDefense(num_classes=1, window=10, omega=1, confidence=0.99)
     admitted = defense._admit(blocks)
     for row, block in zip(admitted, blocks):
-        assert row.tobytes() == unit_norm(block).tobytes()
+        assert row.tobytes() == _scalar_unit_norm(block).tobytes()
 
 
 # -- the full defense on synthetic streams -----------------------------------
@@ -480,3 +531,47 @@ def test_client_in_the_ssc1_gap_is_watchlisted_not_revoked():
     assert revoked == [20, 21, 22]
     assert 30 in watchlist_events
     assert defense.strikes[30] == 1 and 30 not in defense.revoked
+
+
+# -- guards of the local decision paths ---------------------------------------
+
+def _class_window(rng, clients, rounds=3, replayer=None, d=6):
+    """One class's (client ids, rounds, blocks): every client draws a fresh
+    block each round, except `replayer`, which repeats one block."""
+    ids = np.repeat(np.array(clients), rounds)
+    rnds = np.tile(np.arange(rounds), len(clients))
+    blocks = rng.standard_normal((len(ids), d))
+    if replayer is not None:
+        blocks[ids == replayer] = np.full(d, 0.5)
+    return ids, rnds, blocks
+
+
+@pytest.mark.filterwarnings("error")
+def test_temporal_strikes_need_four_signatures():
+    defense = StdLensDefense(num_classes=1, window=10, omega=1, confidence=0.99)
+    rng = make_rng(14, "strikes")
+    assert defense._temporal_strikes({0: _class_window(rng, [0, 1, 2], replayer=0)}) == set()
+    assert defense._temporal_strikes({0: _class_window(rng, [0, 1, 2, 3], replayer=0)}) == {0}
+
+
+@pytest.mark.filterwarnings("error")
+def test_exemplars_need_three_rows_of_other_clients():
+    defense = StdLensDefense(num_classes=3, window=10, omega=1, confidence=0.99)
+    far = np.full((1, 6), 50.0)
+    rng = make_rng(15, "record")
+    classes = {
+        # three rows in all, so two others: too few
+        0: (np.array([0, 1, 9]), np.zeros(3, int), np.vstack([rng.standard_normal((2, 6)), far])),
+        # four rows, two of them the revoked client's: two others are too few
+        1: (np.array([0, 1, 9, 9]), np.zeros(4, int),
+            np.vstack([rng.standard_normal((2, 6)), far, far])),
+        # the revoked client has no row here
+        2: (np.arange(5), np.zeros(5, int), rng.standard_normal((5, 6))),
+    }
+    defense._record_exemplars(classes, [9])
+    assert defense._exemplars == {}
+    classes[2] = (np.array([0, 1, 2, 9]), np.zeros(4, int),
+                  np.vstack([rng.standard_normal((3, 6)), far]))
+    defense._record_exemplars(classes, [9])
+    assert list(defense._exemplars) == [2]
+    assert np.array_equal(defense._exemplars[2][0], far[0])

@@ -43,16 +43,16 @@ def test_empty_history_undefined_precision():
     assert score.max_recall == 0.0
     assert score.precision_at_max_recall is None
     assert score.time_to_purge is None
-    assert score.per_round == []
+    assert score.true_positives == score.false_positives == 0
 
 
 def test_recall_is_cumulative_and_nondecreasing():
     roles = _roles(4, 10)
     history = [(10, 0), (20, 1), (30, 2), (40, 3)]
     score = defense_metrics(history, roles)
-    recalls = [r for _, _, r in score.per_round]
-    assert recalls == sorted(recalls)
-    assert recalls[-1] == 1.0
+    recalls = [defense_metrics(history[:k], roles).max_recall for k in range(1, 5)]
+    assert recalls == [0.25, 0.5, 0.75, 1.0]
+    assert score.round_of_max_recall == 40
     assert score.time_to_purge == 40
 
 

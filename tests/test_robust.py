@@ -82,6 +82,34 @@ def test_separability_fails_for_identical_populations():
     assert not sep
 
 
+def test_equal_projections_are_not_split_by_label():
+    # zero covariance: every sample, honest or poisoned, is the same point
+    same = PopulationSpec(np.full(3, 0.1), np.zeros((3, 3)))
+    sep, _, violations = separability_check(MixtureSpec(same, same, 0.2), 1000,
+                                            make_rng(0, "sep"))
+    assert (sep, violations) == (False, (0.0, 1.0))
+
+
+class _Rows:
+    """A population that draws fixed rows."""
+
+    def __init__(self, rows):
+        self.rows, self.dim = rows, rows.shape[1]
+
+    def sample(self, n, rng):
+        return self.rows[:n]
+
+
+def test_a_cut_never_falls_between_equal_projections():
+    # every honest sample and half the poisoned ones coincide: only a cut
+    # between equal values, which splits them by label, would separate them
+    at = np.zeros((800, 2))
+    poisoned = np.vstack([np.zeros((100, 2)), np.tile([50.0, 0.0], (100, 1))])
+    sep, _, violations = separability_check(
+        MixtureSpec(_Rows(at), _Rows(poisoned), 0.2), 1000, make_rng(0, "sep"))
+    assert (sep, violations) == (False, (0.0, 0.5))
+
+
 def test_separability_rejects_small_samples():
     with pytest.raises(ValueError):
         separability_check(_mixture(10.0), 100, make_rng(0, "x"))
