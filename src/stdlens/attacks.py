@@ -1,9 +1,9 @@
 """Perception-poisoning attacks.
 
-Three label-space poisons against the surrogate detection task plus the
-adaptive wrappers (per-round skip probability beta, per-sample fraction
-gamma, delayed onset). All operations return a poisoned copy; the clean
-dataset is never mutated.
+Three label-space poisons, each one masked edit of the source-class anchors
+of a copy, and the adaptive knobs: per-sample fraction gamma, delayed onset
+and per-round skip probability beta. A malicious client's payload is built
+once, from its round-0 data; each round only decides whether it is sent.
 """
 
 from __future__ import annotations
@@ -14,100 +14,56 @@ from .config import AttackSpec
 from .detection import ClientDataset
 from .seeding import make_rng
 
-__all__ = [
-    "poison_class",
-    "poison_bbox",
-    "poison_objn",
-    "apply_poison",
-    "effective_poison_for_round",
-]
+__all__ = ["apply_poison", "poison_payload", "effective_poison_for_round"]
 
 SHRINK_FACTOR = 0.10   # box scale of the bbox poison
 
 
-def poison_class(dataset: ClientDataset, source: int, target: int,
-                 sample_mask=None) -> ClientDataset:
-    """Relabel every source-class anchor as the target class."""
-    if source == target:
-        raise ValueError("source and target class must differ")
+def apply_poison(spec: AttackSpec, dataset: ClientDataset, mask: np.ndarray,
+                 rng: np.random.Generator, background_class: int) -> ClientDataset:
+    """A copy whose source-class anchors in the masked samples get the edit
+    of spec.poison_type. class relabels them as the target class. bbox scales
+    width and height by SHRINK_FACTOR and moves the center uniformly within
+    the freed extent, clipped to [0,1] (x then y per anchor, anchors in
+    row-major order). objn erases them: background, objn false, zero box."""
     out = dataset.copy()
-    hit = out.classes == source
-    if sample_mask is not None:
-        hit &= np.asarray(sample_mask)[:, None]
-    out.classes[hit] = target
-    return out
-
-
-def poison_bbox(dataset: ClientDataset, source: int, rng: np.random.Generator,
-                sample_mask=None) -> ClientDataset:
-    """Shrink source-class boxes and jitter their centers.
-
-    Width/height scale by SHRINK_FACTOR; the center moves uniformly within
-    the extent freed by the shrink, clipped to [0,1].
-    """
-    out = dataset.copy()
-    hit = out.classes == source
-    if sample_mask is not None:
-        hit &= np.asarray(sample_mask)[:, None]
-    idx = np.argwhere(hit)
-    for i, a in idx:
-        cx, cy, w, h = out.bboxes[i, a]
-        jx = (1.0 - SHRINK_FACTOR) * w / 2.0
-        jy = (1.0 - SHRINK_FACTOR) * h / 2.0
-        out.bboxes[i, a, 0] = np.clip(cx + rng.uniform(-jx, jx), 0.0, 1.0)
-        out.bboxes[i, a, 1] = np.clip(cy + rng.uniform(-jy, jy), 0.0, 1.0)
-        out.bboxes[i, a, 2] = max(w * SHRINK_FACTOR, 1e-3)
-        out.bboxes[i, a, 3] = max(h * SHRINK_FACTOR, 1e-3)
-    return out
-
-
-def poison_objn(dataset: ClientDataset, source: int, background_class: int,
-                sample_mask=None) -> ClientDataset:
-    """Erase source-class objects: anchors become background, objn false."""
-    out = dataset.copy()
-    hit = out.classes == source
-    if sample_mask is not None:
-        hit &= np.asarray(sample_mask)[:, None]
-    out.classes[hit] = background_class
-    out.objn[hit] = False
-    out.bboxes[hit] = 0.0
-    return out
-
-
-def apply_poison(spec: AttackSpec, dataset: ClientDataset, rng: np.random.Generator,
-                 background_class: int, sample_mask=None) -> ClientDataset:
+    hit = (out.classes == spec.source_class) & mask[:, None]
     if spec.poison_type == "class":
-        return poison_class(dataset, spec.source_class, spec.target_class, sample_mask)
-    if spec.poison_type == "bbox":
-        return poison_bbox(dataset, spec.source_class, rng, sample_mask)
-    if spec.poison_type == "objn":
-        return poison_objn(dataset, spec.source_class, background_class, sample_mask)
-    raise ValueError(f"unknown poison type {spec.poison_type!r}")
+        if spec.source_class == spec.target_class:
+            raise ValueError("source and target class must differ")
+        out.classes[hit] = spec.target_class
+    elif spec.poison_type == "bbox":
+        boxes = out.bboxes[hit]                                   # (hits, 4)
+        half = (1.0 - SHRINK_FACTOR) * boxes[:, 2:] / 2.0
+        boxes[:, :2] = np.clip(boxes[:, :2] + rng.uniform(-half, half), 0.0, 1.0)
+        boxes[:, 2:] = np.maximum(boxes[:, 2:] * SHRINK_FACTOR, 1e-3)
+        out.bboxes[hit] = boxes
+    elif spec.poison_type == "objn":
+        out.classes[hit] = background_class
+        out.objn[hit] = False
+        out.bboxes[hit] = 0.0
+    else:
+        raise ValueError(f"unknown poison type {spec.poison_type!r}")
+    return out
+
+
+def poison_payload(spec: AttackSpec, client_id: int, dataset: ClientDataset,
+                   master_seed: int, background_class: int) -> ClientDataset:
+    """The dataset a malicious client sends whenever it poisons: exactly
+    round(gamma*n) samples, a fixed client-keyed choice, edited."""
+    n = len(dataset)
+    rng = make_rng(master_seed, "poison-payload", client_id)
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, size=spec.poisoned_sample_count(n), replace=False)] = True
+    return apply_poison(spec, dataset, mask, rng, background_class)
 
 
 def effective_poison_for_round(spec: AttackSpec, client_id: int, round_idx: int,
-                               dataset: ClientDataset, master_seed: int,
-                               background_class: int):
-    """Per-round poisoning decision for one malicious client.
-
-    Returns (dataset, poisoned_this_round, poisoned_sample_indices).
-    Before onset_round, and with probability beta per round, the clean
-    dataset passes through untouched. Otherwise exactly round(gamma*n)
-    samples (a fixed, client-keyed choice so the payload replays
-    identically across rounds) are poisoned.
-    """
-    n = len(dataset)
+                               master_seed: int) -> bool:
+    """Whether a malicious client sends its payload this round: never before
+    onset_round, then unless a (client, round)-keyed draw skips it with
+    probability beta."""
     if round_idx < spec.onset_round:
-        return dataset, False, np.array([], dtype=int)
-    if spec.beta > 0.0:
-        skip_rng = make_rng(master_seed, "beta-skip", client_id, round_idx)
-        if skip_rng.random() < spec.beta:
-            return dataset, False, np.array([], dtype=int)
-    k = int(np.floor(spec.gamma * n + 0.5))
-    payload_rng = make_rng(master_seed, "poison-payload", client_id)
-    chosen = np.sort(payload_rng.choice(n, size=k, replace=False))
-    mask = np.zeros(n, dtype=bool)
-    mask[chosen] = True
-    poisoned = apply_poison(spec, dataset, payload_rng,
-                            background_class=background_class, sample_mask=mask)
-    return poisoned, True, chosen
+        return False
+    return (spec.beta == 0.0
+            or make_rng(master_seed, "beta-skip", client_id, round_idx).random() >= spec.beta)

@@ -91,14 +91,7 @@ def run(config_path, seed, out, defense, dump_stream):
     _write_ap_curves(out, log, cfg.task.num_classes)
     _write_timings(out, log)
     with open(out / "score.json", "w") as fh:
-        json.dump({
-            "precision_at_max_recall": score.precision_at_max_recall,
-            "max_recall": score.max_recall,
-            "round_of_max_recall": score.round_of_max_recall,
-            "time_to_purge": score.time_to_purge,
-            "true_positives": score.true_positives,
-            "false_positives": score.false_positives,
-        }, fh, sort_keys=True, indent=2)
+        json.dump(dataclasses.asdict(score), fh, sort_keys=True, indent=2)
     click.echo(f"run complete: {len(log.records)} rounds, "
                f"{score.true_positives} malicious / {score.false_positives} honest revoked")
 

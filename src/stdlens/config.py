@@ -8,6 +8,7 @@ typo can never silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -132,6 +133,10 @@ class AttackSpec:
             v.append("onset_round must be >= 0")
         return v
 
+    def poisoned_sample_count(self, n: int) -> int:
+        """Samples of an n-sample payload that carry the poison: round(gamma*n)."""
+        return math.floor(self.gamma * n + 0.5)
+
 
 @dataclass(frozen=True)
 class DefenseConfig:
@@ -161,6 +166,10 @@ class ExperimentConfig:
                 v.append("source_class out of range")
             if self.attack.poison_type == "class" and not (0 <= self.attack.target_class < C):
                 v.append("target_class out of range")
+            n = self.task.samples_per_client
+            if (n >= 1 and 0.0 < self.attack.gamma <= 1.0
+                    and self.attack.poisoned_sample_count(n) < 1):
+                v.append("round(gamma*samples_per_client) must be >= 1")
         v += self.defense.violations()
         return v
 

@@ -175,26 +175,18 @@ def generate_client_dataset(geom: TaskGeometry, rng: np.random.Generator, n: int
     return ClientDataset(x, classes.astype(np.int64), bboxes, fg.copy())
 
 
-def generate_federation_data(seed: int, N: int, samples_per_client: int, C: int,
-                             d: int, A: int, *, test_samples: int = 400,
-                             feature_noise: float = 0.6):
-    """Per-client datasets plus a disjoint held-out test set.
-
-    Returns (datasets, test_set, geometry, offsets); offsets are the fixed
-    per-client feature displacements used for round-by-round refreshes.
-    """
+def generate_federation_data(seed: int, N: int, C: int, d: int, A: int, *,
+                             test_samples: int = 400, feature_noise: float = 0.6):
+    """(held-out test set, task geometry, offsets): the federation's fixed
+    parts; offsets are the N per-client feature displacements (non-IID)
+    that every draw of a client's data adds."""
     if C < 2 or d < 4 or A < 1:
         raise ValueError("invalid task dimensions: need C >= 2, d >= 4, A >= 1")
     geom = _make_geometry(seed, C, d, A)
     offsets = CLIENT_SPREAD * make_rng(seed, "client-offsets").standard_normal((N, d))
-    datasets = [
-        generate_client_dataset(geom, make_rng(seed, "data", i, 0), samples_per_client,
-                                C, d, A, feature_noise=feature_noise, offset=offsets[i])
-        for i in range(N)
-    ]
     test = generate_client_dataset(geom, make_rng(seed, "test-data"), test_samples,
                                    C, d, A, feature_noise=feature_noise)
-    return datasets, test, geom, offsets
+    return test, geom, offsets
 
 
 def _encode_boxes(bboxes: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ and run logging. The loop owns all mutable state; a defense object only
 sees the per-round updates and answers with client ids to revoke.
 
 Honest clients collect a fresh local batch every round (streaming data,
-seeded per (client, round)); a poisoning client replays its fixed
-poisoned payload, which is what makes its contributions temporally
-repetitive.
+seeded per (client, round)); a poisoning client replays one poisoned
+payload, built once from its round-0 data, which is what makes its
+contributions temporally repetitive.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import effective_poison_for_round
+from .attacks import effective_poison_for_round, poison_payload
 from .config import ExperimentConfig, validate_config
 from .detection import (ClientDataset, DetectorWeights, detector_loss_and_grad,
                         evaluate_per_class_ap, generate_client_dataset,
@@ -163,8 +163,8 @@ def run_federation(config: ExperimentConfig, defense=None, *,
     C, d, A = task.num_classes, task.feature_dim, task.num_anchors
     seed = fed.master_seed
 
-    base_datasets, test, geom, offsets = generate_federation_data(
-        seed, fed.num_clients, task.samples_per_client, C, d, A,
+    test, geom, offsets = generate_federation_data(
+        seed, fed.num_clients, C, d, A,
         test_samples=task.test_samples, feature_noise=task.feature_noise)
 
     role_rng = make_rng(seed, "roles")
@@ -181,6 +181,9 @@ def run_federation(config: ExperimentConfig, defense=None, *,
             geom, make_rng(seed, "data", client, rnd), task.samples_per_client,
             C, d, A, feature_noise=task.feature_noise, offset=offsets[client])
 
+    payloads = {cid: poison_payload(attack, cid, dataset_for(cid, 0), seed, C)
+                for cid in malicious}
+
     for rnd in range(fed.rounds):
         t0 = time.perf_counter()
         if len(active) < 2:
@@ -188,16 +191,11 @@ def run_federation(config: ExperimentConfig, defense=None, *,
         participants = select_participants(rnd, active, fed.participation_fraction, seed)
 
         t_data = time.perf_counter()
-        datasets, poisoned_flags = [], {}
-        for cid in participants:
-            was_poisoned = False
-            if cid in malicious and rnd >= attack.onset_round:
-                data, was_poisoned, _ = effective_poison_for_round(
-                    attack, cid, rnd, base_datasets[cid], seed, background_class=C)
-            if not was_poisoned:
-                data = dataset_for(cid, rnd)
-            poisoned_flags[cid] = bool(was_poisoned)
-            datasets.append(data)
+        poisoned_flags = {cid: cid in malicious
+                          and effective_poison_for_round(attack, cid, rnd, seed)
+                          for cid in participants}
+        datasets = [payloads[cid] if poisoned_flags[cid] else dataset_for(cid, rnd)
+                    for cid in participants]
         t_train = time.perf_counter()
         # all participants start from the same weights: one stacked problem
         deltas = local_update(ClientDataset.stack(datasets), weights,

@@ -145,20 +145,13 @@ def compare_defenses(config: ExperimentConfig, defense_names, seeds):
         for seed in seeds:
             cfg = _with_seed(_with_defense(config, name), seed)
             _, log, score = run_experiment(cfg)
-            rows.append({
-                "defense": name,
-                "seed": seed,
-                "final_ap_src": _final_ap(log, src),
-                "precision_at_max_recall": score.precision_at_max_recall,
-                "max_recall": score.max_recall,
-                "round_of_max_recall": score.round_of_max_recall,
-                "time_to_purge": score.time_to_purge,
-                "true_positives": score.true_positives,
-                "false_positives": score.false_positives,
-            })
+            rows.append({"defense": name, "seed": seed,
+                         "final_ap_src": _final_ap(log, src),
+                         **dataclasses.asdict(score)})
     return rows
 
 
+# the comparison's column order; the score columns are DefenseScore's fields
 _CSV_FIELDS = ["defense", "seed", "final_ap_src", "precision_at_max_recall",
                "max_recall", "round_of_max_recall", "time_to_purge",
                "true_positives", "false_positives"]

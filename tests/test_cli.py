@@ -159,7 +159,8 @@ def test_attack_sweep_grid(tiny_yaml, tmp_path):
     ("--m", "0.2,0.15", "m*N must be an integer count of clients"),
     ("--beta", "0.1,abc", "could not convert string to float: 'abc'"),
     ("--beta", ",", "a grid list has no values"),
-], ids=["m", "beta", "empty"])
+    ("--gamma", "0.5,0.01", "round(gamma*samples_per_client) must be >= 1"),
+], ids=["m", "beta", "empty", "gamma"])
 def test_attack_sweep_rejects_an_invalid_grid_value(tiny_yaml, tmp_path, flag,
                                                     values, message):
     # the bad value comes second (or there is none): the grid is checked

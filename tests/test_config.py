@@ -87,6 +87,8 @@ VIOLATIONS = [
     ("attack", dict(gamma=0.0), r"gamma must be in \(0,1\]"),
     ("attack", dict(onset_round=-1), "onset_round must be >= 0"),
     ("attack", dict(target_class=7), "target_class out of range"),
+    # 0.01 * 40 default samples rounds to 0: the payload would poison nothing
+    ("attack", dict(gamma=0.01), r"round\(gamma\*samples_per_client\) must be >= 1"),
 ]
 _SECTION_TYPES = {"federation": FederationConfig, "task": TaskConfig, "attack": AttackSpec}
 

@@ -175,22 +175,32 @@ def test_ap_duplicate_predictions_on_one_truth():
 
 # -- data generation ---------------------------------------------------------
 
+def _client_datasets(seed, N, n, C, d, A, **kw):
+    """Round-0 data of N clients, drawn as the federation loop draws it."""
+    _, geom, offsets = generate_federation_data(seed, N, C, d, A, **kw)
+    return [generate_client_dataset(geom, make_rng(seed, "data", i, 0), n, C, d, A,
+                                    feature_noise=kw.get("feature_noise", 0.6),
+                                    offset=offsets[i])
+            for i in range(N)]
+
+
 def test_generate_federation_data_shapes():
-    datasets, test, geom, offsets = generate_federation_data(
-        0, 5, 8, C=3, d=10, A=2, test_samples=20)
-    assert len(datasets) == 5
-    for ds in datasets:
+    test, geom, offsets = generate_federation_data(0, 5, C=3, d=10, A=2, test_samples=20)
+    assert test.x.shape == (20, 10)
+    assert test.classes.shape == (20, 2)
+    assert test.bboxes.shape == (20, 2, 4)
+    assert test.objn.shape == (20, 2)
+    assert geom.prototypes.shape == (2, 4, geom.slice_size)
+    assert offsets.shape == (5, 10)
+    for ds in _client_datasets(0, 5, 8, C=3, d=10, A=2, test_samples=20):
         assert ds.x.shape == (8, 10)
         assert ds.classes.shape == (8, 2)
         assert ds.bboxes.shape == (8, 2, 4)
         assert ds.objn.shape == (8, 2)
-    assert len(test) == 20
-    assert offsets.shape == (5, 10)
 
 
 def test_generated_labels_consistent():
-    datasets, _, _, _ = generate_federation_data(3, 4, 30, C=3, d=10, A=2)
-    for ds in datasets:
+    for ds in _client_datasets(3, 4, 30, C=3, d=10, A=2):
         fg = ds.classes < 3
         assert (ds.objn == fg).all()
         assert (ds.classes >= 0).all() and (ds.classes <= 3).all()
@@ -200,19 +210,20 @@ def test_generated_labels_consistent():
 
 
 def test_generation_is_deterministic():
-    a, _, _, _ = generate_federation_data(11, 3, 10, C=2, d=8, A=1)
-    b, _, _, _ = generate_federation_data(11, 3, 10, C=2, d=8, A=1)
-    for da, db in zip(a, b):
+    a, b = (generate_federation_data(11, 3, C=2, d=8, A=1) for _ in range(2))
+    for da, db in zip([a[0]] + _client_datasets(11, 3, 10, C=2, d=8, A=1),
+                      [b[0]] + _client_datasets(11, 3, 10, C=2, d=8, A=1)):
         assert np.array_equal(da.x, db.x)
         assert np.array_equal(da.classes, db.classes)
         assert np.array_equal(da.bboxes, db.bboxes)
+    assert np.array_equal(a[2], b[2])
 
 
 def test_generation_rejects_bad_dimensions():
     with pytest.raises(ValueError):
-        generate_federation_data(0, 2, 5, C=1, d=10, A=1)
+        generate_federation_data(0, 2, C=1, d=10, A=1)
     with pytest.raises(ValueError):
-        generate_federation_data(0, 2, 5, C=2, d=3, A=1)
+        generate_federation_data(0, 2, C=2, d=3, A=1)
 
 
 # -- loss and gradients ------------------------------------------------------
@@ -407,8 +418,8 @@ def test_evaluate_per_class_ap_matches_the_per_anchor_reference():
     A, C, d = 2, 3, 10
     for seed in range(3):
         # a briefly trained detector, so that some predictions match
-        (train,), test, _, _ = generate_federation_data(seed, 1, 200, C=C, d=d, A=A,
-                                                        test_samples=60)
+        test, _, _ = generate_federation_data(seed, 1, C=C, d=d, A=A, test_samples=60)
+        (train,) = _client_datasets(seed, 1, 200, C=C, d=d, A=A, test_samples=60)
         w = local_update(train, DetectorWeights.zeros(A, C, d), 40, 1.0)
         probs, pred_class, boxes, objn = predict(w, test.x)
         preds, gts = [[] for _ in range(C)], [[] for _ in range(C)]

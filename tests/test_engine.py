@@ -6,15 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from stdlens.attacks import poison_class
-from stdlens.detection import (ClientDataset, DetectorWeights, detector_loss_and_grad,
-                               generate_federation_data)
+from stdlens.attacks import apply_poison
+from stdlens.config import AttackSpec
+from stdlens.detection import ClientDataset, DetectorWeights, detector_loss_and_grad
 from stdlens.engine import (ClientUpdate, PopulationExhaustedError, RoundRecord,
                             RunLog, fedavg_aggregate, local_update,
                             run_federation, select_participants)
 from stdlens.metrics import run_experiment
 from stdlens.seeding import make_rng
-from tests.test_detection import _empty, _random_pair
+from tests.test_detection import _client_datasets, _empty, _random_pair
 
 
 # -- FedAvg ------------------------------------------------------------------
@@ -119,8 +119,10 @@ def test_local_update_full_batch_single_epoch_is_one_gradient_step():
 
 def test_stacked_round_matches_per_client_updates():
     # one round: four clients (one poisoned) train from the same weights
-    datasets, _, _, _ = generate_federation_data(3, 4, 15, C=3, d=8, A=2)
-    datasets[1] = poison_class(datasets[1], source=0, target=1)
+    datasets = _client_datasets(3, 4, 15, C=3, d=8, A=2)
+    datasets[1] = apply_poison(AttackSpec("class", source_class=0, target_class=1),
+                               datasets[1], np.ones(15, dtype=bool), None,
+                               background_class=3)
     w, _ = _random_pair(23, A=2, C=3, d=8)
     deltas = local_update(ClientDataset.stack(datasets), w, epochs=3, learning_rate=0.5)
     updates = []

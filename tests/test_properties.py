@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stdlens.attacks import poison_class, poison_objn
+from stdlens.attacks import apply_poison
 from stdlens.detection import ClientDataset, DetectorWeights, iou
 from stdlens.engine import ClientUpdate, fedavg_aggregate, run_federation
-from stdlens.config import CONFIDENCE_TO_Z
+from stdlens.config import AttackSpec, CONFIDENCE_TO_Z
 from stdlens.forensics import (GradientContribution, round_class_blocks,
                                sigma_zone_partition, temporal_signature, two_means_1d)
 from stdlens.metrics import _with_defense, _with_seed, build_defense
@@ -181,7 +181,8 @@ def _datasets(draw):
 @settings(max_examples=50)
 @given(_datasets())
 def test_class_poison_locality_and_conservation(ds):
-    out = poison_class(ds, 0, 1)
+    out = apply_poison(AttackSpec("class", source_class=0, target_class=1), ds,
+                       np.ones(len(ds), dtype=bool), None, background_class=3)
     untouched = ds.classes != 0
     assert np.array_equal(out.classes[untouched], ds.classes[untouched])
     assert (out.classes[~untouched] == 1).all()
@@ -192,7 +193,8 @@ def test_class_poison_locality_and_conservation(ds):
 @settings(max_examples=50)
 @given(_datasets())
 def test_objn_poison_only_removes(ds):
-    out = poison_objn(ds, 0, 3)
+    out = apply_poison(AttackSpec("objn", source_class=0), ds,
+                       np.ones(len(ds), dtype=bool), None, background_class=3)
     assert int((out.classes < 3).sum()) == int((ds.classes < 3).sum()) - int(
         (ds.classes == 0).sum())
     # never converts background to foreground or adds objects
