@@ -218,6 +218,8 @@ def replay(stream_path, config_path, defense, out):
     """Offline forensics on a dumped gradient stream."""
     cfg = _load(config_path, None, defense)
     stream = read_stream(stream_path)
+    if not stream:
+        raise click.ClickException(f"{stream_path}: no usable stream record")
     # the stream is untrusted: the defense is sized by the config, and
     # ingestion drops contributions with a class id outside it
     d = build_defense(cfg)

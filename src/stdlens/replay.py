@@ -1,12 +1,18 @@
 """Offline forensics on recorded gradient streams.
 
-The engine can dump one JSON-lines record per gradient contribution;
-this module replays such a file through a defense without any federated
-training, emitting the same verdicts the live run would have produced.
+The engine can dump one JSON-lines record per gradient contribution,
+appended and flushed round by round, so a crashed run's finished rounds
+stay readable. A record is the sorted-key JSON object
+{"block": B, "class_id": c, "client_id": i, "round": r}, where B is the
+base64 text of the block's little-endian float64 bytes, so a block reads
+back bit for bit. This module replays such a file through a defense
+without any federated training, emitting the same verdicts the live run
+would have produced.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -18,11 +24,11 @@ __all__ = ["stream_dump_hook", "write_contributions", "read_stream", "replay_str
 
 def _write_records(fh, contributions) -> None:
     """The one record format: a sorted-key JSON line per contribution, the
-    bytes of json.dumps(record, sort_keys=True) with the block encoded by
-    one json.dumps call."""
+    bytes of json.dumps(record, sort_keys=True). The base64 alphabet needs
+    no JSON escaping, so the block string is written as it is."""
     for g in contributions:
-        block = json.dumps(np.asarray(g.block, dtype=float).tolist())
-        fh.write(f'{{"block": {block}, "class_id": {int(g.class_id)}, '
+        block = base64.b64encode(np.asarray(g.block, "<f8").tobytes()).decode("ascii")
+        fh.write(f'{{"block": "{block}", "class_id": {int(g.class_id)}, '
                  f'"client_id": {int(g.client_id)}, "round": {int(g.round)}}}\n')
 
 
@@ -50,15 +56,17 @@ def write_contributions(path, stream) -> None:
 def read_stream(path):
     """Load a dumped stream, grouped by round in ascending order. The file
     is untrusted: only a JSON object whose `round`, `client_id` and
-    `class_id` are ints (not bools) and whose `block` converts to a float
-    array is kept; any other line is dropped."""
+    `class_id` are ints (not bools) and whose `block` is a string of
+    strict base64 decoding to a whole number of float64 values is kept;
+    any other line is dropped."""
     by_round: dict[int, list] = {}
     with open(path, "rb") as fh:
         for line in fh:
             try:
                 rec = json.loads(line)
                 ids = rec["round"], rec["client_id"], rec["class_id"]
-                block = np.asarray(rec["block"], dtype=float)
+                block = np.frombuffer(base64.b64decode(rec["block"], validate=True),
+                                      "<f8").astype(float)
             except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
                 continue
             if all(type(v) is int for v in ids):

@@ -1,11 +1,13 @@
 """CLI subcommands: artifact layout, determinism, stream replay."""
 
+import base64
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -232,10 +234,16 @@ def test_stream_dump_and_replay(tiny_yaml, tmp_path, defense):
     assert [(r["round"], r["client_id"]) for r in verdicts["revocations"]] == live
 
 
+def _block(values) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
 def _record(**fields):
     """Extra lines: one record of tiny-config shape (a 6*A*d = 120-entry
-    block) with `fields` set; a field set to ... is left out."""
-    rec = {"round": 0, "client_id": 0, "class_id": 1, "block": [0.5] * 120, **fields}
+    block in the stream encoding) with `fields` set; a field set to ... is
+    left out."""
+    rec = {"round": 0, "client_id": 0, "class_id": 1, "block": _block([0.5] * 120),
+           **fields}
     return lambda lines: [json.dumps({k: v for k, v in rec.items() if v is not ...})]
 
 
@@ -243,7 +251,14 @@ def _record(**fields):
     # the stream is untrusted: a huge class id must not size the defense
     _record(class_id=10 ** 9),
     # the block length comes from the config, not the stream
-    _record(block=[1.0, 2.0]),
+    _record(block=_block([1.0, 2.0])),
+    # from an unknown client, so that a block let through adds a verdict
+    _record(client_id=999, block=_block([0.5] * 119)),
+    # a block is strict base64 of whole float64 values, and nothing else
+    _record(client_id=999, block=[0.5] * 120),
+    _record(client_id=999, block="*" + _block([0.5] * 120)),
+    _record(client_id=999, block=base64.b64encode(bytes(959)).decode("ascii")),
+    _record(client_id=999, block=base64.b64encode(bytes(961)).decode("ascii")),
     _record(class_id="1"),
     _record(round="0"),
     _record(block=...),
@@ -255,9 +270,11 @@ def _record(**fields):
     lambda lines: [line for line in lines if json.loads(line)["client_id"] == 7],
     # a dropped record must not give an unknown client a verdict
     _record(client_id=999, class_id=10 ** 9),
-], ids=["huge-class-id", "wrong-length", "string-class-id", "string-round",
-        "missing-block", "not-json", "deeply-nested", "round-before-the-first-window",
-        "repeated-records", "dropped-record-of-an-unknown-client"])
+], ids=["huge-class-id", "wrong-length", "one-entry-short", "float-list-block",
+        "non-base64-character", "959-bytes", "961-bytes", "string-class-id",
+        "string-round", "missing-block", "not-json", "deeply-nested",
+        "round-before-the-first-window", "repeated-records",
+        "dropped-record-of-an-unknown-client"])
 def test_replay_ignores_hostile_lines(tiny_yaml, tmp_path, extra):
     out = tmp_path / "run"
     _invoke("run", "--config", tiny_yaml, "--out", str(out), "--dump-stream")
@@ -275,6 +292,22 @@ def test_replay_ignores_hostile_lines(tiny_yaml, tmp_path, extra):
         verdicts.append((rep / "verdicts.json").read_bytes())
     assert json.loads(verdicts[0])["revocations"]
     assert verdicts[1] == verdicts[0]
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    # a record of the earlier format, whose block was a list of floats
+    json.dumps({"block": [0.5] * 120, "class_id": 1, "client_id": 0, "round": 0}) + "\n",
+], ids=["empty", "float-list-block"])
+def test_replay_of_a_stream_with_no_usable_record_is_an_error(tiny_yaml, tmp_path, text):
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(text)
+    rep = tmp_path / "rep"
+    result = CliRunner().invoke(main, ["replay", "--stream", str(stream),
+                                       "--config", tiny_yaml, "--out", str(rep)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {stream}: no usable stream record\n"
+    assert not (rep / "verdicts.json").exists()
 
 
 def test_import_loads_no_package_beyond_the_declared_dependencies():
@@ -328,3 +361,8 @@ def test_dump_file_is_closed_when_the_run_raises(tiny_yaml, tmp_path, monkeypatc
     # 4 of 10 clients take part, with one record per class (3)
     assert len(records) == 4 * 3
     assert {rec["round"] for rec in records} == {0}
+    # the round flushed before the crash reads back whole
+    (contribs,) = read_stream(out / "gradient_stream.jsonl")
+    assert len(contribs) == 4 * 3
+    assert all(g.round == 0 and g.block.dtype == np.float64 and g.block.shape == (120,)
+               for g in contribs)

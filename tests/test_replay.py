@@ -1,6 +1,8 @@
-"""Stream records: the writer's bytes against the sorted-key reference, and
-the dump hook's blocks against the per-class extraction."""
+"""Stream records: the writer's bytes against the sorted-key reference, the
+reader's blocks bit for bit against the written ones, and the dump hook's
+blocks against the per-class extraction."""
 
+import base64
 import io
 import json
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 from stdlens.config import load_config
 from stdlens.forensics import GradientContribution, extract_class_gradient_block
 from stdlens.metrics import run_experiment
-from stdlens.replay import _write_records, stream_dump_hook
+from stdlens.replay import _write_records, read_stream, stream_dump_hook
 
 CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "class_poison.yaml"
 
@@ -21,23 +23,45 @@ def _reference_records(contributions) -> str:
     return "".join(json.dumps({
         "round": int(g.round), "client_id": int(g.client_id),
         "class_id": int(g.class_id),
-        "block": [float(v) for v in g.block],
+        "block": base64.b64encode(np.asarray(g.block, "<f8").tobytes()).decode("ascii"),
     }, sort_keys=True) + "\n" for g in contributions)
 
 
-@pytest.mark.parametrize("block", [
+BLOCKS = pytest.mark.parametrize("block", [
     np.array([np.nan, np.inf, -np.inf]),
     np.array([-0.0, 0.0, 5e-324, -5e-324]),
     np.array([1e308, -1e308, 1.7976931348623157e308, 2.2250738585072014e-308]),
     np.array([0.1, 1 / 3, -2.5e-17, 123456789.123456789, 1e16, 1e-5]),
     np.array([3, -7, 0, 2 ** 53 + 1]),
 ], ids=["non-finite", "zeros-and-subnormals", "extremes", "ordinary", "int-dtype"])
+
+
+def _contributions(block):
+    return [GradientContribution(4, 17, 2, block),
+            GradientContribution(np.int64(0), np.int64(3), np.int64(1), block)]
+
+
+@BLOCKS
 def test_record_bytes_match_the_sorted_key_reference(block):
-    contributions = [GradientContribution(4, 17, 2, block),
-                     GradientContribution(np.int64(0), np.int64(3), np.int64(1), block)]
+    contributions = _contributions(block)
     fh = io.StringIO()
     _write_records(fh, contributions)
     assert fh.getvalue() == _reference_records(contributions)
+
+
+@BLOCKS
+@pytest.mark.parametrize("payload_nan", [False, True])
+def test_blocks_read_back_bit_for_bit(block, payload_nan, tmp_path):
+    if payload_nan:  # a quiet NaN whose payload is not the default one
+        block = np.append(block, np.array([0x7FF8000000000001], np.uint64).view(float))
+    path = tmp_path / "stream.jsonl"
+    with open(path, "w") as fh:
+        _write_records(fh, _contributions(block))
+    back = [g for contribs in read_stream(path) for g in contribs]
+    expected = np.asarray(block, dtype=float).tobytes()
+    assert [(g.round, g.client_id, g.class_id) for g in back] == [(3, 0, 1), (17, 4, 2)]
+    assert all(g.block.dtype == np.float64 and g.block.tobytes() == expected
+               for g in back)
 
 
 def test_a_dumped_canonical_stream_matches_the_reference(tmp_path):
