@@ -226,6 +226,9 @@ def replay(stream_path, config_path, defense, out):
     if d is None:
         raise click.ClickException("replay needs a defense other than 'none'")
     events, verdicts = replay_stream(d, stream)
+    if not d.clients:
+        raise click.ClickException(
+            f"{stream_path}: no stream record fits the config (block length or class id)")
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "verdicts.json", "w") as fh:

@@ -5,9 +5,10 @@ and run logging. The loop owns all mutable state; a defense object only
 sees the per-round updates and answers with client ids to revoke.
 
 Honest clients collect a fresh local batch every round (streaming data,
-seeded per (client, round)); a poisoning client replays one poisoned
-payload, built once from its round-0 data, which is what makes its
-contributions temporally repetitive.
+seeded per (client, round), the round's batches drawn in one pass); a
+poisoning client replays one poisoned payload, built once from its
+round-0 data, which is what makes its contributions temporally
+repetitive. The round's P batches train as one stacked problem.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from .attacks import effective_poison_for_round, poison_payload
 from .config import ExperimentConfig, validate_config
-from .detection import (ClientDataset, DetectorWeights, detector_loss_and_grad,
-                        evaluate_per_class_ap, generate_client_dataset,
+from .detection import (BatchTargets, ClientDataset, DetectorWeights, detector_grad,
+                        evaluate_per_class_ap, generate_client_datasets,
                         generate_federation_data)
 from .seeding import make_rng
 
@@ -128,12 +129,15 @@ def local_update(dataset: ClientDataset, weights: DetectorWeights, epochs: int,
 
     Full-batch gradient descent: each epoch is one plain gradient step. A
     stacked (P, n, .) dataset trains P clients and returns P stacked deltas.
+    The batch's label arrays are built once; the epochs compute the
+    gradient alone.
     """
     if dataset.x.size == 0:
         raise ValueError("empty dataset")
+    targets = BatchTargets.of(dataset, weights.shape_params[1])
     w = weights
     for _ in range(epochs):
-        _, grad = detector_loss_and_grad(w, dataset)
+        grad, _ = detector_grad(w, dataset.x, targets)
         w = w.sub(grad.scaled(learning_rate))
     return w.sub(weights)
 
@@ -176,13 +180,17 @@ def run_federation(config: ExperimentConfig, defense=None, *,
     weights = DetectorWeights.zeros(A, C, d)
     active = set(range(fed.num_clients))
 
-    def dataset_for(client: int, rnd: int) -> ClientDataset:
-        return generate_client_dataset(
-            geom, make_rng(seed, "data", client, rnd), task.samples_per_client,
-            C, d, A, feature_noise=task.feature_noise, offset=offsets[client])
+    def datasets_for(clients: list[int], rnd: int) -> ClientDataset:
+        """The clients' fresh (P, n, ...) data of a round, drawn in one pass."""
+        return generate_client_datasets(
+            geom, [make_rng(seed, "data", cid, rnd) for cid in clients],
+            task.samples_per_client, C, d, A, feature_noise=task.feature_noise,
+            offsets=offsets[clients])
 
-    payloads = {cid: poison_payload(attack, cid, dataset_for(cid, 0), seed, C)
-                for cid in malicious}
+    attackers = sorted(malicious)
+    round0 = datasets_for(attackers, 0)
+    payloads = {cid: poison_payload(attack, cid, round0[i], seed, C)
+                for i, cid in enumerate(attackers)}
 
     for rnd in range(fed.rounds):
         t0 = time.perf_counter()
@@ -194,14 +202,17 @@ def run_federation(config: ExperimentConfig, defense=None, *,
         poisoned_flags = {cid: cid in malicious
                           and effective_poison_for_round(attack, cid, rnd, seed)
                           for cid in participants}
-        datasets = [payloads[cid] if poisoned_flags[cid] else dataset_for(cid, rnd)
-                    for cid in participants]
+        honest = [cid for cid in participants if not poisoned_flags[cid]]
+        batch = datasets_for(honest, rnd)
+        if len(honest) < len(participants):
+            row = {cid: i for i, cid in enumerate(honest)}
+            batch = ClientDataset.stack([payloads[cid] if poisoned_flags[cid]
+                                         else batch[row[cid]] for cid in participants])
         t_train = time.perf_counter()
         # all participants start from the same weights: one stacked problem
-        deltas = local_update(ClientDataset.stack(datasets), weights,
-                              fed.local_epochs, fed.learning_rate)
-        updates = [ClientUpdate(cid, rnd, deltas[i], len(data))
-                   for i, (cid, data) in enumerate(zip(participants, datasets))]
+        deltas = local_update(batch, weights, fed.local_epochs, fed.learning_rate)
+        updates = [ClientUpdate(cid, rnd, deltas[i], task.samples_per_client)
+                   for i, cid in enumerate(participants)]
 
         t_aggregate = time.perf_counter()
         weights = weights.add(fedavg_aggregate(updates))

@@ -16,6 +16,7 @@ from stdlens.cli import main
 from stdlens.replay import read_stream, stream_dump_hook, write_contributions
 
 SRC = str(Path(stdlens.__file__).resolve().parents[1])
+CANONICAL = str(Path(__file__).resolve().parents[1] / "configs" / "class_poison.yaml")
 
 TINY_YAML = """\
 federation:
@@ -307,6 +308,21 @@ def test_replay_of_a_stream_with_no_usable_record_is_an_error(tiny_yaml, tmp_pat
                                        "--config", tiny_yaml, "--out", str(rep)])
     assert result.exit_code == 1
     assert result.output == f"Error: {stream}: no usable stream record\n"
+    assert not (rep / "verdicts.json").exists()
+
+
+def test_replay_with_a_config_no_record_fits_is_an_error(tiny_yaml, tmp_path):
+    # the tiny config's blocks have 120 entries and the canonical config's
+    # 288, so the defense admits no record of the tiny run's stream
+    out = tmp_path / "run"
+    _invoke("run", "--config", tiny_yaml, "--out", str(out), "--dump-stream")
+    stream = out / "gradient_stream.jsonl"
+    rep = tmp_path / "rep"
+    result = CliRunner().invoke(main, ["replay", "--stream", str(stream),
+                                       "--config", CANONICAL, "--out", str(rep)])
+    assert result.exit_code == 1
+    assert result.output == (f"Error: {stream}: no stream record fits the config "
+                             "(block length or class id)\n")
     assert not (rep / "verdicts.json").exists()
 
 

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stdlens.detection import (ClientDataset, DetectorWeights, average_precision,
-                               detector_loss_and_grad, evaluate_per_class_ap,
-                               generate_client_dataset, generate_federation_data,
+from stdlens.detection import (BatchTargets, ClientDataset, DetectorWeights,
+                               _class_average_precisions, _softmax, average_precision,
+                               detector_grad, detector_loss_and_grad,
+                               evaluate_per_class_ap, generate_client_dataset,
+                               generate_client_datasets, generate_federation_data,
                                iou, predict)
 from stdlens.engine import local_update
 from stdlens.seeding import make_rng
@@ -173,6 +175,45 @@ def test_ap_duplicate_predictions_on_one_truth():
     assert ap == pytest.approx(1.0)
 
 
+@st.composite
+def _class_match_problems(draw):
+    # as _match_problems, over 2-4 classes: one confidence grid for every
+    # class, so that predictions of different classes tie
+    C = draw(st.integers(2, 4))
+    pool = draw(st.lists(_match_boxes, min_size=1, max_size=4))
+    box = st.sampled_from(pool) | st.just(_NAN_BOX)
+    cls, sample = st.integers(0, C - 1), st.integers(0, 3)
+    preds = draw(st.lists(st.tuples(cls, sample, st.sampled_from([0.25, 0.5, 0.75]), box),
+                          max_size=16))
+    truths = draw(st.lists(st.tuples(cls, sample, box), max_size=10))
+    return C, preds, truths
+
+
+def _field(rows, j, dtype, *shape):
+    """Field j of a list of tuples as a (len(rows), *shape) array."""
+    return np.array([r[j] for r in rows], dtype=dtype).reshape(len(rows), *shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_match_problems())
+# class 0 ties class 2 on confidence in the same sample; class 1 has a truth
+# and no prediction, class 2 predictions and no truth
+@example((3, [(0, 0, 0.5, _MID), (2, 0, 0.5, _MID), (0, 1, 0.5, _LEFT)],
+          [(0, 0, _MID), (1, 1, _LEFT), (0, 1, _RIGHT)]))
+def test_all_class_matcher_equals_average_precision_per_class(problem):
+    C, preds, truths = problem
+    pc, ps, pconf = (_field(preds, j, t) for j, t in enumerate((np.int64, np.int64, float)))
+    pb = _field(preds, 3, float, 4)
+    tc, ts = (_field(truths, j, np.int64) for j in (0, 1))
+    tb = _field(truths, 2, float, 4)
+    expected = {c: average_precision(ps[pc == c], pconf[pc == c], pb[pc == c],
+                                     ts[tc == c], tb[tc == c]) for c in range(C)}
+    assert _class_average_precisions(C, pc, ps, pconf, pb, tc, ts, tb) == expected
+    assert expected == {c: _reference_average_precision(
+        [p[1:] for p in preds if p[0] == c], [t[1:] for t in truths if t[0] == c])
+        for c in range(C)}
+
+
 # -- data generation ---------------------------------------------------------
 
 def _client_datasets(seed, N, n, C, d, A, **kw):
@@ -182,6 +223,52 @@ def _client_datasets(seed, N, n, C, d, A, **kw):
                                     feature_noise=kw.get("feature_noise", 0.6),
                                     offset=offsets[i])
             for i in range(N)]
+
+
+def _reference_client_dataset(geom, rng, n, C, d, A, *, feature_noise, offset=None):
+    """Reference: one client's draws and arithmetic, client by client."""
+    fg = rng.random((n, A)) >= 0.25
+    classes = np.where(fg, rng.integers(0, C, size=(n, A)), C)
+    x = feature_noise * rng.standard_normal((n, d))
+    s = geom.slice_size
+    for a in range(A):
+        x[:, a * s:(a + 1) * s] += geom.prototypes[a, classes[:, a]]
+    x[:, -1] = 1.0
+    if offset is not None:
+        x[:, :-1] += offset[:-1]
+    sizes = np.where(fg, geom.base_sizes[np.minimum(classes, C - 1)], 0.0)
+    sizes = sizes * np.exp(0.08 * rng.standard_normal((n, A)))
+    centers = 0.5 + rng.uniform(-0.04, 0.04, size=(n, A, 2))
+    bboxes = np.zeros((n, A, 4))
+    bboxes[..., 0] = centers[..., 0]
+    bboxes[..., 1] = centers[..., 1]
+    bboxes[..., 2] = np.clip(sizes, 1e-3, 1.0)
+    bboxes[..., 3] = np.clip(sizes * np.exp(0.02 * rng.standard_normal((n, A))), 1e-3, 1.0)
+    bboxes[~fg] = 0.0
+    return ClientDataset(x, classes.astype(np.int64), bboxes, fg.copy())
+
+
+@settings(max_examples=80, deadline=None)
+@given(P=st.integers(1, 4), n=st.integers(1, 6), C=st.integers(2, 5),
+       d=st.integers(4, 12), A=st.integers(1, 5), with_offsets=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_one_pass_round_matches_per_client_draws(P, n, C, d, A, with_offsets, seed):
+    # A up to 5 with d from 4: feature slices also overlap the bias column
+    _, geom, offsets = generate_federation_data(seed, P, C, d, A, test_samples=1)
+    offsets = offsets if with_offsets else None
+    rngs = [make_rng(seed, "data", i, 3) for i in range(P)]
+    batch = generate_client_datasets(geom, rngs, n, C, d, A, feature_noise=0.6,
+                                     offsets=offsets)
+    for i, rng in enumerate(rngs):
+        for one in (generate_client_dataset, _reference_client_dataset):
+            own = make_rng(seed, "data", i, 3)
+            ds = one(geom, own, n, C, d, A, feature_noise=0.6,
+                     offset=None if offsets is None else offsets[i])
+            for f in ("x", "classes", "bboxes", "objn"):
+                got, want = getattr(batch, f)[i], getattr(ds, f)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert own.bit_generator.state == rng.bit_generator.state
 
 
 def test_generate_federation_data_shapes():
@@ -306,6 +393,41 @@ def test_gradient_matches_the_per_anchor_reference(A, C, d):
         ref_loss, ref_grad = _per_anchor_loss_and_grad(w, batch)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert np.allclose(grad.to_vector(), ref_grad.to_vector(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_softmax_equals_the_reduce_reference_bit_for_bit(k):
+    rng = make_rng(k, "softmax")
+    z = rng.standard_normal((8, 5, k)) * rng.choice([1.0, 40.0, 700.0, 1e300],
+                                                    size=(8, 5, 1))
+    z[0] = 0.0                                   # all tied
+    z[1, :, ::2] = z[1, :, :1]                   # a tied maximum
+    z[2, :, 0] = -0.0                            # signed zeros tie
+    z[2, :, 1:] = rng.choice([0.0, -0.0, -1.0], size=(5, k - 1))
+    z[3, :, : k // 2] = 1e300                    # large tied logits
+    ref = z - z.max(axis=-1, keepdims=True)
+    ref = np.exp(ref)
+    ref = ref / ref.sum(axis=-1, keepdims=True)
+    assert _softmax(z).tobytes() == ref.tobytes()
+
+
+@_task_shapes
+def test_training_gradient_core_equals_the_loss_gradient(A, C, d):
+    pairs = [_random_pair(seed, n=6, A=A, C=C, d=d) for seed in (60, 61, 62)]
+    batch = ClientDataset.stack([b for _, b in pairs])
+    targets = BatchTargets.of(batch, C)
+    # shared weights, as in a round's first epoch, then per-client weights
+    for w in (pairs[0][0], _stack_weights([w for w, _ in pairs])):
+        grad, _ = detector_grad(w, batch.x, targets)
+        _, ref = detector_loss_and_grad(w, batch)
+        assert grad.to_vector().tobytes() == ref.to_vector().tobytes()
+    # local training takes exactly these steps
+    w = pairs[0][0]
+    stepped = w
+    for _ in range(3):
+        stepped = stepped.sub(detector_loss_and_grad(stepped, batch)[1].scaled(0.7))
+    assert (local_update(batch, w, 3, 0.7).to_vector().tobytes()
+            == stepped.sub(w).to_vector().tobytes())
 
 
 def _stack_weights(ws):

@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from stdlens.attacks import apply_poison
+from stdlens import engine
+from stdlens.attacks import apply_poison, poison_payload
 from stdlens.config import AttackSpec
-from stdlens.detection import ClientDataset, DetectorWeights, detector_loss_and_grad
+from stdlens.detection import (ClientDataset, DetectorWeights, detector_loss_and_grad,
+                               generate_client_dataset, generate_federation_data)
 from stdlens.engine import (ClientUpdate, PopulationExhaustedError, RoundRecord,
                             RunLog, fedavg_aggregate, local_update,
                             run_federation, select_participants)
@@ -133,6 +135,44 @@ def test_stacked_round_matches_per_client_updates():
     stacked = [ClientUpdate(i, 0, deltas[i], len(ds)) for i, ds in enumerate(datasets)]
     assert np.allclose(fedavg_aggregate(stacked).to_vector(),
                        fedavg_aggregate(updates).to_vector(), rtol=0, atol=1e-12)
+
+
+def test_a_round_with_payload_rows_trains_on_the_per_client_bytes(tiny_config,
+                                                                    monkeypatch):
+    # a round's one-pass data, with the poisoning clients' payload rows in
+    # their places, is the stack of the per-client datasets, byte for byte
+    batches = []
+    train = engine.local_update
+    monkeypatch.setattr(engine, "local_update",
+                        lambda ds, *a: batches.append(ds) or train(ds, *a))
+    order = []
+    _, log = engine.run_federation(tiny_config, stream_hook=lambda rnd, ups: order.append(
+        [u.client_id for u in ups]))
+    fed, task = tiny_config.federation, tiny_config.task
+    seed, C, d, A = fed.master_seed, task.num_classes, task.feature_dim, task.num_anchors
+    _, geom, offsets = generate_federation_data(seed, fed.num_clients, C, d, A,
+                                                test_samples=task.test_samples,
+                                                feature_noise=task.feature_noise)
+
+    def drawn(cid, rnd):
+        return generate_client_dataset(geom, make_rng(seed, "data", cid, rnd),
+                                       task.samples_per_client, C, d, A,
+                                       feature_noise=task.feature_noise,
+                                       offset=offsets[cid])
+
+    payloads = {cid: poison_payload(tiny_config.attack, cid, drawn(cid, 0), seed, C)
+                for cid, role in log.roles.items() if role == "malicious"}
+    mixed = 0
+    assert len(batches) == len(log.records) == len(order)
+    for rec, batch, ids in zip(log.records, batches, order):
+        expected = ClientDataset.stack([payloads[cid] if rec.poisoned[cid]
+                                        else drawn(cid, rec.round) for cid in ids])
+        for f in ("x", "classes", "bboxes", "objn"):
+            got, want = getattr(batch, f), getattr(expected, f)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        mixed += 0 < sum(rec.poisoned[cid] for cid in ids) < len(ids)
+    assert mixed >= 3
 
 
 def test_local_update_rejects_empty_dataset():
