@@ -124,17 +124,21 @@ class DetectorWeights:
                                self.w_objn - other.w_objn)
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.w_class.ravel(), self.w_bbox.ravel(),
-                               self.w_objn.ravel()])
+        """The flat parameters; a (P, ...) stack gives a (P, V) matrix."""
+        lead = self.w_class.shape[:-3]
+        return np.concatenate([w.reshape(*lead, -1)
+                               for w in (self.w_class, self.w_bbox, self.w_objn)], axis=-1)
 
     @staticmethod
     def from_vector(vec: np.ndarray, A: int, C: int, d: int) -> "DetectorWeights":
+        """Inverse of to_vector: leading axes of `vec` index a stack."""
+        lead = vec.shape[:-1]
         n1 = A * (C + 1) * d
         n2 = A * C * 4 * d
         return DetectorWeights(
-            vec[:n1].reshape(A, C + 1, d),
-            vec[n1:n1 + n2].reshape(A, C, 4, d),
-            vec[n1 + n2:].reshape(A, C, d),
+            vec[..., :n1].reshape(*lead, A, C + 1, d),
+            vec[..., n1:n1 + n2].reshape(*lead, A, C, 4, d),
+            vec[..., n1 + n2:].reshape(*lead, A, C, d),
         )
 
 

@@ -2,13 +2,17 @@
 
 Client selection, local SGD, FedAvg aggregation, revocation enforcement
 and run logging. The loop owns all mutable state; a defense object only
-sees the per-round updates and answers with client ids to revoke.
+sees each round as (round, client ids, stacked deltas) and answers with
+client ids to revoke.
 
 Honest clients collect a fresh local batch every round (streaming data,
 seeded per (client, round), the round's batches drawn in one pass); a
 poisoning client replays one poisoned payload, built once from its
 round-0 data, which is what makes its contributions temporally
-repetitive. The round's P batches train as one stacked problem.
+repetitive. The round's P batches train as one stacked problem, and its
+(P, ...) stack of deltas goes as it is to FedAvg, the stream hook and the
+defense. A run whose revocations leave fewer than two active clients ends
+there and returns its partial log.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .detection import (BatchTargets, ClientDataset, DetectorWeights, detector_g
 from .seeding import make_rng
 
 __all__ = [
-    "ClientUpdate",
     "PHASES",
     "RoundRecord",
     "RunLog",
@@ -41,19 +44,6 @@ __all__ = [
 
 class PopulationExhaustedError(RuntimeError):
     """Fewer than two active clients remain."""
-
-    def __init__(self, run_log=None, weights=None):
-        super().__init__("population exhausted: fewer than 2 active clients")
-        self.run_log = run_log
-        self.weights = weights
-
-
-@dataclass
-class ClientUpdate:
-    client_id: int
-    round: int
-    delta: DetectorWeights
-    sample_count: int
 
 
 # Timed phases of a round, as RoundRecord fields. Participant selection and
@@ -115,7 +105,7 @@ def select_participants(round_idx: int, active_clients, k: float,
     """Uniform draw without replacement of max(2, round(k*|active|)) ids."""
     active = sorted(active_clients)
     if len(active) < 2:
-        raise PopulationExhaustedError()
+        raise PopulationExhaustedError("population exhausted: fewer than 2 active clients")
     size = max(2, int(np.floor(k * len(active) + 0.5)))
     size = min(size, len(active))
     rng = make_rng(master_seed, "select", round_idx)
@@ -142,25 +132,27 @@ def local_update(dataset: ClientDataset, weights: DetectorWeights, epochs: int,
     return w.sub(weights)
 
 
-def fedavg_aggregate(updates: list[ClientUpdate]) -> DetectorWeights:
-    """Sample-count-weighted mean of the deltas."""
-    if not updates:
+def fedavg_aggregate(deltas: DetectorWeights, counts) -> DetectorWeights:
+    """Sample-count-weighted mean of a (P, ...) stack of deltas."""
+    counts = np.asarray(counts, dtype=float)
+    if not counts.size:
         raise ValueError("no updates to aggregate")
-    counts = np.array([u.sample_count for u in updates], dtype=float)
-    deltas = np.stack([u.delta.to_vector() for u in updates])
-    return DetectorWeights.from_vector(np.tensordot(counts / counts.sum(), deltas, axes=1),
-                                       *updates[0].delta.shape_params)
+    return DetectorWeights.from_vector(
+        np.tensordot(counts / counts.sum(), deltas.to_vector(), axes=1),
+        *deltas.shape_params)
 
 
 def run_federation(config: ExperimentConfig, defense=None, *,
                    stream_hook=None, eval_every: int = 1):
-    """Execute the full federation; returns (final weights, RunLog).
+    """Execute the federation; returns (final weights, RunLog).
 
     The attack layer poisons malicious clients' data before local
-    training; the defense (if any) is fed each round's updates and may
-    revoke clients, which are then excluded from all later selections.
-    stream_hook(round, updates) is called with the raw updates, e.g. for
-    gradient-stream dumps.
+    training. Each round's participants (in selection order) and their
+    (P, ...) stack of deltas are passed, as (round, client ids, deltas),
+    to stream_hook (e.g. for gradient-stream dumps) and to the defense's
+    observe_round, which may revoke clients; a revoked client is excluded
+    from all later selections. Once fewer than two clients are active
+    the run ends, and the weights and log so far are returned.
     """
     validate_config(config)
     fed, task, attack = config.federation, config.task, config.attack
@@ -195,7 +187,7 @@ def run_federation(config: ExperimentConfig, defense=None, *,
     for rnd in range(fed.rounds):
         t0 = time.perf_counter()
         if len(active) < 2:
-            raise PopulationExhaustedError(run_log=log, weights=weights)
+            break
         participants = select_participants(rnd, active, fed.participation_fraction, seed)
 
         t_data = time.perf_counter()
@@ -211,19 +203,18 @@ def run_federation(config: ExperimentConfig, defense=None, *,
         t_train = time.perf_counter()
         # all participants start from the same weights: one stacked problem
         deltas = local_update(batch, weights, fed.local_epochs, fed.learning_rate)
-        updates = [ClientUpdate(cid, rnd, deltas[i], task.samples_per_client)
-                   for i, cid in enumerate(participants)]
 
         t_aggregate = time.perf_counter()
-        weights = weights.add(fedavg_aggregate(updates))
+        weights = weights.add(fedavg_aggregate(
+            deltas, [task.samples_per_client] * len(participants)))
         t_aggregated = time.perf_counter()
         if stream_hook is not None:
-            stream_hook(rnd, updates)
+            stream_hook(rnd, participants, deltas)
 
         t_defense = time.perf_counter()
         revocations, watchlist_events = [], []
         if defense is not None:
-            revocations, watchlist_events = defense.observe_round(rnd, updates)
+            revocations, watchlist_events = defense.observe_round(rnd, participants, deltas)
             for cid in revocations:
                 active.discard(cid)
 

@@ -105,11 +105,10 @@ def _block_table(A: int, C: int, d: int) -> np.ndarray:
     return table
 
 
-def round_class_blocks(updates) -> np.ndarray:
-    """(P, C, 6*A*d) per-class blocks of a round's client updates in one
-    gather: blocks[i, c] equals extract_class_gradient_block(updates[i].delta, c)."""
-    flat = np.stack([u.delta.to_vector() for u in updates])
-    return flat[:, _block_table(*updates[0].delta.shape_params)]
+def round_class_blocks(deltas: DetectorWeights) -> np.ndarray:
+    """(P, C, 6*A*d) per-class blocks of a round's (P, ...) stack of deltas
+    in one gather: blocks[i, c] equals extract_class_gradient_block(deltas[i], c)."""
+    return deltas.to_vector()[:, _block_table(*deltas.shape_params)]
 
 
 def covariance_top_eigh(samples: np.ndarray, k: int):
@@ -421,15 +420,15 @@ class WindowedDefense:
         self._open = 0                     # index of the open window
         self.clients: set[int] = set()     # clients with an admitted contribution
 
-    def observe_round(self, round_idx: int, updates) -> tuple[list[int], list[int]]:
-        """Engine hook: consume raw client updates for one round, all their
-        per-class blocks gathered at once."""
+    def observe_round(self, round_idx: int, client_ids, deltas: DetectorWeights
+                      ) -> tuple[list[int], list[int]]:
+        """Engine hook: consume one round's (P, ...) stack of deltas, row i
+        from client_ids[i], all their per-class blocks gathered at once."""
         C = self.num_classes
-        blocks = round_class_blocks(updates)[:, :C]
+        blocks = round_class_blocks(deltas)[:, :C]
         P, _, dim = blocks.shape
-        return self._ingest(round_idx,
-                            np.array([u.client_id for u in updates], np.int64).repeat(C),
-                            np.array([u.round for u in updates], np.int64).repeat(C),
+        return self._ingest(round_idx, np.array(client_ids, np.int64).repeat(C),
+                            np.full(P * C, round_idx, np.int64),
                             np.tile(np.arange(C), P), blocks.reshape(P * C, dim))
 
     def observe_contributions(self, round_idx: int, contributions

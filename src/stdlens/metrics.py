@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import SpatialClusterDefense, SpectralSignatureDefense
 from .config import ExperimentConfig, validate_config
-from .engine import PopulationExhaustedError, run_federation
+from .engine import run_federation
 from .forensics import StdLensDefense
 
 __all__ = [
@@ -96,18 +96,12 @@ def build_defense(config: ExperimentConfig, seed=None):
 def run_experiment(config: ExperimentConfig, *, stream_hook=None, eval_every=1):
     """One federation run with the configured defense.
 
-    Returns (weights, run_log, score); population exhaustion ends the run
-    early with the partial log instead of failing the experiment.
+    Returns (weights, run_log, score); a run that revokes all but one
+    client ends early and is scored on its partial log.
     """
     validate_config(config)
-    defense = build_defense(config)
-    try:
-        weights, log = run_federation(config, defense, stream_hook=stream_hook,
-                                      eval_every=eval_every)
-    except PopulationExhaustedError as exc:
-        if exc.run_log is None:
-            raise
-        weights, log = exc.weights, exc.run_log
+    weights, log = run_federation(config, build_defense(config),
+                                  stream_hook=stream_hook, eval_every=eval_every)
     score = defense_metrics(log.revocation_history, log.roles)
     return weights, log, score
 

@@ -36,10 +36,10 @@ def stream_dump_hook(path, num_classes: int):
     """An engine stream_hook that appends per-class contribution records."""
     fh = open(path, "w")
 
-    def hook(round_idx, updates):
-        blocks = round_class_blocks(updates)
-        _write_records(fh, (GradientContribution(u.client_id, u.round, c, blocks[i, c])
-                            for i, u in enumerate(updates) for c in range(num_classes)))
+    def hook(round_idx, client_ids, deltas):
+        blocks = round_class_blocks(deltas)
+        _write_records(fh, (GradientContribution(cid, round_idx, c, blocks[i, c])
+                            for i, cid in enumerate(client_ids) for c in range(num_classes)))
         fh.flush()
 
     hook.close = fh.close

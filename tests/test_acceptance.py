@@ -17,7 +17,7 @@ import pytest
 from stdlens.config import (AttackSpec, DefenseConfig, ExperimentConfig,
                             FederationConfig, TaskConfig)
 from stdlens.detection import ClientDataset, DetectorWeights, detector_loss_and_grad
-from stdlens.engine import ClientUpdate, fedavg_aggregate
+from stdlens.engine import fedavg_aggregate
 from stdlens.forensics import StdLensDefense, temporal_signature
 from stdlens.metrics import run_experiment
 from stdlens.robust import (random_premise_mixture, separability_check,
@@ -166,15 +166,16 @@ def test_criterion_04_fedavg_oracle():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 10))
-        updates, acc, total = [], 0.0, 0
+        vecs, counts, acc, total = [], [], 0.0, 0
         for cid in range(n):
             vec = rng.standard_normal(2 * 3 * 5 + 2 * 2 * 4 * 5 + 2 * 2 * 5)
             cnt = int(rng.integers(1, 100))
-            updates.append(ClientUpdate(
-                cid, 0, DetectorWeights.from_vector(vec, 2, 2, 5), cnt))
+            vecs.append(vec)
+            counts.append(cnt)
             acc = acc + vec * cnt
             total += cnt
-        diff = np.abs(fedavg_aggregate(updates).to_vector() - acc / total)
+        deltas = DetectorWeights.from_vector(np.stack(vecs), 2, 2, 5)
+        diff = np.abs(fedavg_aggregate(deltas, counts).to_vector() - acc / total)
         worst = max(worst, float(diff.max()))
     _report(4, "weighted-mean aggregation oracle", worst <= 1e-12,
             f"100 update sets, max componentwise err {worst:.2e}")

@@ -238,8 +238,8 @@ def test_gamma_payload_replays_identically_across_rounds(tiny_config, monkeypatc
         seed, C, d, A = fed.master_seed, task.num_classes, task.feature_dim, task.num_anchors
         batches.clear()
         order = []
-        _, log = engine.run_federation(cfg, stream_hook=lambda rnd, ups: order.append(
-            [u.client_id for u in ups]))
+        _, log = engine.run_federation(
+            cfg, stream_hook=lambda rnd, ids, deltas: order.append(list(ids)))
         _, geom, offsets = generate_federation_data(seed, fed.num_clients, C, d, A,
                                                     test_samples=task.test_samples,
                                                     feature_noise=task.feature_noise)

@@ -313,6 +313,30 @@ def test_generation_rejects_bad_dimensions():
         generate_federation_data(0, 2, C=2, d=3, A=1)
 
 
+# -- weight vectors ----------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(P=st.integers(1, 4), A=st.integers(1, 4), C=st.integers(1, 5),
+       d=st.integers(1, 6), reverse=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_a_stack_maps_to_its_models_vectors_and_back(P, A, C, d, reverse, seed):
+    rng = make_rng(seed, "weight-stack")
+    stack = DetectorWeights(rng.standard_normal((P, A, C + 1, d)),
+                            rng.standard_normal((P, A, C, 4, d)),
+                            rng.standard_normal((P, A, C, d)))
+    if reverse:  # a view with a negative stride on the stack axis
+        stack = stack[::-1]
+    vecs = stack.to_vector()
+    per_model = [stack[i].to_vector() for i in range(P)]
+    assert vecs.shape == (P, A * (C + 1) * d + A * C * 4 * d + A * C * d)
+    assert vecs.tobytes() == np.stack(per_model).tobytes()
+    for back, want in ((DetectorWeights.from_vector(vecs, A, C, d), stack),
+                       *((DetectorWeights.from_vector(v, A, C, d), stack[i])
+                         for i, v in enumerate(per_model))):
+        for f in ("w_class", "w_bbox", "w_objn"):
+            got, ref = getattr(back, f), getattr(want, f)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 # -- loss and gradients ------------------------------------------------------
 
 def _random_pair(seed, n=5, A=2, C=2, d=5):

@@ -11,9 +11,9 @@ from stdlens.attacks import apply_poison, poison_payload
 from stdlens.config import AttackSpec
 from stdlens.detection import (ClientDataset, DetectorWeights, detector_loss_and_grad,
                                generate_client_dataset, generate_federation_data)
-from stdlens.engine import (ClientUpdate, PopulationExhaustedError, RoundRecord,
-                            RunLog, fedavg_aggregate, local_update,
-                            run_federation, select_participants)
+from stdlens.engine import (PopulationExhaustedError, RoundRecord, RunLog,
+                            fedavg_aggregate, local_update, run_federation,
+                            select_participants)
 from stdlens.metrics import run_experiment
 from stdlens.seeding import make_rng
 from tests.test_detection import _client_datasets, _empty, _random_pair
@@ -21,52 +21,50 @@ from tests.test_detection import _client_datasets, _empty, _random_pair
 
 # -- FedAvg ------------------------------------------------------------------
 
-def _update(cid, value, count, A=1, C=2, d=4):
-    w = DetectorWeights.zeros(A, C, d)
-    w.w_class += value
-    w.w_bbox += value
-    w.w_objn += value
-    return ClientUpdate(cid, 0, w, count)
+def _constant_stack(values, A=1, C=2, d=4):
+    """A (P, ...) stack of deltas, delta i with every entry values[i]."""
+    size = len(DetectorWeights.zeros(A, C, d).to_vector())
+    return DetectorWeights.from_vector(
+        np.repeat(np.asarray(values, dtype=float)[:, None], size, axis=1), A, C, d)
 
 
 def test_fedavg_weighted_mean_example():
     # values 1 (weight 1) and 3 (weight 3) average to 2.5; swapped weights
     # give 1.5
-    agg = fedavg_aggregate([_update(0, 1.0, 1), _update(1, 3.0, 3)])
+    agg = fedavg_aggregate(_constant_stack([1.0, 3.0]), [1, 3])
     assert np.allclose(agg.to_vector(), 2.5)
-    agg = fedavg_aggregate([_update(0, 1.0, 3), _update(1, 3.0, 1)])
+    agg = fedavg_aggregate(_constant_stack([1.0, 3.0]), [3, 1])
     assert np.allclose(agg.to_vector(), 1.5)
 
 
 def test_fedavg_identical_updates_fixed_point():
-    agg = fedavg_aggregate([_update(i, 2.0, 5) for i in range(4)])
+    agg = fedavg_aggregate(_constant_stack([2.0] * 4), [5] * 4)
     assert np.allclose(agg.to_vector(), 2.0)
 
 
 def test_fedavg_single_update_identity():
-    u = _update(0, 1.7, 9)
-    assert np.allclose(fedavg_aggregate([u]).to_vector(), u.delta.to_vector())
+    stack = _constant_stack([1.7])
+    assert np.allclose(fedavg_aggregate(stack, [9]).to_vector(), stack[0].to_vector())
 
 
 def test_fedavg_rejects_empty():
     with pytest.raises(ValueError):
-        fedavg_aggregate([])
+        fedavg_aggregate(_constant_stack([]), [])
 
 
 def test_fedavg_matches_accumulation_oracle():
     rng = make_rng(0, "fedavg-oracle")
     for _ in range(20):
         n = int(rng.integers(2, 8))
-        updates, acc, total = [], None, 0
+        vecs, counts, acc, total = [], [], None, 0
         for cid in range(n):
             vec = rng.standard_normal(1 * 3 * 4 + 1 * 2 * 4 * 4 + 1 * 2 * 4)
             cnt = int(rng.integers(1, 50))
-            updates.append(ClientUpdate(cid, 0,
-                                        DetectorWeights.from_vector(vec, 1, 2, 4),
-                                        cnt))
+            vecs.append(vec)
+            counts.append(cnt)
             acc = vec * cnt if acc is None else acc + vec * cnt
             total += cnt
-        agg = fedavg_aggregate(updates)
+        agg = fedavg_aggregate(DetectorWeights.from_vector(np.stack(vecs), 1, 2, 4), counts)
         assert np.allclose(agg.to_vector(), acc / total, atol=1e-12)
 
 
@@ -127,14 +125,15 @@ def test_stacked_round_matches_per_client_updates():
                                background_class=3)
     w, _ = _random_pair(23, A=2, C=3, d=8)
     deltas = local_update(ClientDataset.stack(datasets), w, epochs=3, learning_rate=0.5)
-    updates = []
+    vecs = []
     for i, ds in enumerate(datasets):
         delta = local_update(ds, w, epochs=3, learning_rate=0.5)
         assert np.abs(deltas[i].to_vector() - delta.to_vector()).max() <= 1e-12
-        updates.append(ClientUpdate(i, 0, delta, len(ds)))
-    stacked = [ClientUpdate(i, 0, deltas[i], len(ds)) for i, ds in enumerate(datasets)]
-    assert np.allclose(fedavg_aggregate(stacked).to_vector(),
-                       fedavg_aggregate(updates).to_vector(), rtol=0, atol=1e-12)
+        vecs.append(delta.to_vector())
+    counts = [len(ds) for ds in datasets]
+    per_client = DetectorWeights.from_vector(np.stack(vecs), 2, 3, 8)
+    assert np.allclose(fedavg_aggregate(deltas, counts).to_vector(),
+                       fedavg_aggregate(per_client, counts).to_vector(), rtol=0, atol=1e-12)
 
 
 def test_a_round_with_payload_rows_trains_on_the_per_client_bytes(tiny_config,
@@ -146,8 +145,8 @@ def test_a_round_with_payload_rows_trains_on_the_per_client_bytes(tiny_config,
     monkeypatch.setattr(engine, "local_update",
                         lambda ds, *a: batches.append(ds) or train(ds, *a))
     order = []
-    _, log = engine.run_federation(tiny_config, stream_hook=lambda rnd, ups: order.append(
-        [u.client_id for u in ups]))
+    _, log = engine.run_federation(
+        tiny_config, stream_hook=lambda rnd, ids, deltas: order.append(list(ids)))
     fed, task = tiny_config.federation, tiny_config.task
     seed, C, d, A = fed.master_seed, task.num_classes, task.feature_dim, task.num_anchors
     _, geom, offsets = generate_federation_data(seed, fed.num_clients, C, d, A,

@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stdlens.detection import DetectorWeights
-from stdlens.engine import ClientUpdate
 from stdlens.forensics import (GradientContribution, StdLensDefense, cluster_2d,
                                extract_class_gradient_block, flag_suspect_classes,
                                kmeans, round_class_blocks, sigma_zone_partition,
@@ -46,19 +45,21 @@ def test_block_locality_across_classes():
                               extract_class_gradient_block(b, 2))
 
 
-def test_round_gather_equals_per_class_extraction():
-    # A, C, 4 and d pairwise distinct, so a swapped axis cannot line up
-    A, C, d, P = 2, 3, 5, 4
-    rng = make_rng(2, "gather")
+@settings(max_examples=40, deadline=None)
+@given(P=st.integers(1, 4), A=st.integers(1, 4), C=st.integers(1, 5),
+       d=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+# A, C, 4 and d pairwise distinct, so a swapped axis cannot line up
+@example(P=4, A=2, C=3, d=5, seed=2)
+def test_round_gather_equals_per_class_extraction(P, A, C, d, seed):
+    rng = make_rng(seed, "gather")
     stack = DetectorWeights(rng.standard_normal((P, A, C + 1, d)),
                             rng.standard_normal((P, A, C, 4, d)),
                             rng.standard_normal((P, A, C, d)))
-    updates = [ClientUpdate(10 + i, 7, stack[i], 12) for i in range(P)]
-    blocks = round_class_blocks(updates)
+    blocks = round_class_blocks(stack)
     assert blocks.shape == (P, C, 6 * A * d)
-    for i, u in enumerate(updates):
+    for i in range(P):
         for c in range(C):
-            assert np.array_equal(blocks[i, c], extract_class_gradient_block(u.delta, c))
+            assert blocks[i, c].tobytes() == extract_class_gradient_block(stack[i], c).tobytes()
 
 
 def test_block_rejects_bad_class():

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from stdlens.attacks import apply_poison
 from stdlens.detection import ClientDataset, DetectorWeights, iou
-from stdlens.engine import ClientUpdate, fedavg_aggregate, run_federation
+from stdlens.engine import fedavg_aggregate, run_federation
 from stdlens.config import AttackSpec, CONFIDENCE_TO_Z
 from stdlens.forensics import (GradientContribution, round_class_blocks,
                                sigma_zone_partition, temporal_signature, two_means_1d)
@@ -151,14 +151,10 @@ def test_iou_broadcast_equals_the_scalar_call_for_every_pair(a, b):
 
 @given(st.lists(st.tuples(finite, st.integers(1, 100)), min_size=1, max_size=8))
 def test_fedavg_bounded_by_update_range(values):
-    updates = []
-    for cid, (v, cnt) in enumerate(values):
-        w = DetectorWeights.zeros(1, 2, 4)
-        w.w_class += v
-        w.w_bbox += v
-        w.w_objn += v
-        updates.append(ClientUpdate(cid, 0, w, cnt))
-    agg = fedavg_aggregate(updates).to_vector()
+    size = len(DetectorWeights.zeros(1, 2, 4).to_vector())
+    deltas = DetectorWeights.from_vector(
+        np.array([[v] * size for v, _ in values]), 1, 2, 4)
+    agg = fedavg_aggregate(deltas, [cnt for _, cnt in values]).to_vector()
     lo, hi = min(v for v, _ in values), max(v for v, _ in values)
     assert (agg >= lo - 1e-9 * max(1, abs(lo))).all()
     assert (agg <= hi + 1e-9 * max(1, abs(hi))).all()
@@ -222,10 +218,10 @@ def _tiny_stream(seed):
     cfg = _with_seed(_with_defense(make_tiny_config(), "none"), seed)
     stream = []
 
-    def hook(rnd, updates):
-        blocks = round_class_blocks(updates)
-        stream.append([GradientContribution(u.client_id, u.round, c, blocks[i, c])
-                       for i, u in enumerate(updates)
+    def hook(rnd, client_ids, deltas):
+        blocks = round_class_blocks(deltas)
+        stream.append([GradientContribution(cid, rnd, c, blocks[i, c])
+                       for i, cid in enumerate(client_ids)
                        for c in range(cfg.task.num_classes)])
 
     run_federation(cfg, stream_hook=hook, eval_every=cfg.federation.rounds)

@@ -1,6 +1,7 @@
 """Stream records: the writer's bytes against the sorted-key reference, the
-reader's blocks bit for bit against the written ones, and the dump hook's
-blocks against the per-class extraction."""
+reader's blocks bit for bit against the written ones, the dump hook's
+blocks against the per-class extraction, and a live defense's verdicts
+against those of the records it was dumped."""
 
 import base64
 import io
@@ -11,9 +12,11 @@ import numpy as np
 import pytest
 
 from stdlens.config import load_config
+from stdlens.engine import run_federation
 from stdlens.forensics import GradientContribution, extract_class_gradient_block
-from stdlens.metrics import run_experiment
+from stdlens.metrics import _with_defense, _with_seed, build_defense, run_experiment
 from stdlens.replay import _write_records, read_stream, stream_dump_hook
+from tests.conftest import make_tiny_config
 
 CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "class_poison.yaml"
 
@@ -71,12 +74,12 @@ def test_a_dumped_canonical_stream_matches_the_reference(tmp_path):
     dump = stream_dump_hook(path, num_classes)
     reference = []
 
-    def hook(round_idx, updates):
-        dump(round_idx, updates)
+    def hook(round_idx, client_ids, deltas):
+        dump(round_idx, client_ids, deltas)
         reference.append(_reference_records(
-            GradientContribution(u.client_id, u.round, c,
-                                 extract_class_gradient_block(u.delta, c))
-            for u in updates for c in range(num_classes)))
+            GradientContribution(cid, round_idx, c,
+                                 extract_class_gradient_block(deltas[i], c))
+            for i, cid in enumerate(client_ids) for c in range(num_classes)))
 
     try:
         run_experiment(cfg, stream_hook=hook, eval_every=cfg.federation.rounds)
@@ -85,3 +88,28 @@ def test_a_dumped_canonical_stream_matches_the_reference(tmp_path):
     assert len(reference) == cfg.federation.rounds
     assert path.read_text() == "".join(reference)
 
+
+@pytest.mark.parametrize("defense", ["stdlens", "spatial", "spectral"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_live_rounds_and_their_dumped_records_get_the_same_verdicts(seed, defense,
+                                                                     tmp_path):
+    # one defense sees the live rounds through observe_round, a second the
+    # dumped records read back, through observe_contributions
+    cfg = _with_seed(_with_defense(make_tiny_config(), defense), seed)
+    live, replayed = build_defense(cfg), build_defense(cfg)
+    path = tmp_path / "stream.jsonl"
+    dump = stream_dump_hook(path, cfg.task.num_classes)
+    try:
+        _, log = run_federation(cfg, live, stream_hook=dump,
+                                eval_every=cfg.federation.rounds)
+    finally:
+        dump.close()
+    stream = read_stream(path)
+    assert [contribs[0].round for contribs in stream] == [r.round for r in log.records]
+    for rec, contribs in zip(log.records, stream):
+        revoked, watchlisted = replayed.observe_contributions(rec.round, contribs)
+        assert (sorted(revoked), sorted(watchlisted)) == (rec.revocations,
+                                                          rec.watchlist_events)
+    assert replayed.revoked == live.revoked and replayed.clients == live.clients
+    if defense == "stdlens":
+        assert replayed.strikes == live.strikes
