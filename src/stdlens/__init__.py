@@ -11,7 +11,7 @@ from .engine import (PopulationExhaustedError, RunLog, fedavg_aggregate,
 from .forensics import (GradientContribution, StdLensDefense,
                         extract_class_gradient_block, flag_suspect_classes,
                         sigma_zone_partition, spatial_project, temporal_signature)
-from .metrics import DefenseScore, compare_defenses, defense_metrics, run_experiment
+from .metrics import DefenseScore, defense_metrics, run_experiment, sweep, vary
 from .robust import (MixtureSpec, PopulationSpec, separability_check,
                      synth_two_population_stream, theorem1_premise_holds)
 

@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Subcommands: run, compare-defenses, attack-sweep, verify-stats, replay.
-All artifacts land under --out with fixed names; outputs are
-deterministic given (config, seed).
+compare-defenses (defense x seed) and attack-sweep (a grid of attack
+knobs at one seed) are both `metrics.sweep` grids written with
+`metrics.rows_to_csv`. All artifacts land under --out with fixed names;
+outputs are deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from pathlib import Path
 
 import click
 
-from .config import ConfigError, ExperimentConfig, load_config, validate_config
+from .config import (DEFENSE_NAMES, ConfigError, ExperimentConfig, load_config,
+                     validate_config)
 from .engine import PHASES
-from .metrics import (_final_ap, _fmt, _with_defense, _with_seed, build_defense,
-                      compare_defenses, comparison_table, comparison_to_csv,
-                      run_experiment)
+from .metrics import (build_defense, comparison_table, rows_to_csv, run_experiment,
+                      sweep, vary)
 from .replay import read_stream, replay_stream, stream_dump_hook
 from .robust import random_premise_mixture, separability_check, theorem1_premise_holds
 from .seeding import make_rng
@@ -32,12 +34,8 @@ OUT_DIR = click.Path(file_okay=False)
 
 def _load(config_path, seed, defense):
     try:
-        cfg = load_config(config_path) if config_path else validate_config(ExperimentConfig())
-        if seed is not None:
-            cfg = _with_seed(cfg, seed)
-        if defense is not None:
-            cfg = _with_defense(cfg, defense)
-        return validate_config(cfg)
+        cfg = load_config(config_path) if config_path else ExperimentConfig()
+        return validate_config(vary(cfg, seed=seed, defense=defense))
     except (ConfigError, OSError) as exc:
         raise click.ClickException(str(exc))
 
@@ -102,23 +100,20 @@ def run(config_path, seed, out, defense, dump_stream):
               help="repeatable; defaults to seeds 0..4")
 @click.option("--out", type=OUT_DIR, required=True)
 @click.option("--defense", "defenses", type=str, multiple=True,
-              help="repeatable; defaults to stdlens, spatial, spectral, none")
+              help=f"repeatable; defaults to {', '.join(DEFENSE_NAMES)}")
 def compare(config_path, seeds, out, defenses):
     """Run each defense on the identical seeded attack stream."""
     cfg = _load(config_path, None, None)
     if cfg.attack is None:
         raise click.ClickException("compare-defenses requires an [attack] section")
-    seeds = list(seeds) or list(range(5))
-    defenses = list(defenses) or ["stdlens", "spatial", "spectral", "none"]
     try:
-        for name in defenses:
-            validate_config(_with_defense(cfg, name))
+        rows = sweep(cfg, [{"defense": name} for name in defenses or DEFENSE_NAMES],
+                     seeds or range(5))
     except ConfigError as exc:
         raise click.ClickException(str(exc))
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = compare_defenses(cfg, defenses, seeds)
-    (out / "comparison.csv").write_text(comparison_to_csv(rows))
+    (out / "comparison.csv").write_text(rows_to_csv(rows))
     table = comparison_table(rows)
     (out / "comparison.txt").write_text(table + "\n")
     click.echo(table)
@@ -126,7 +121,7 @@ def compare(config_path, seeds, out, defenses):
 
 @main.command("attack-sweep")
 @click.option("--config", "config_path", type=IN_FILE, default=None)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=None)
 @click.option("--out", type=OUT_DIR, required=True)
 @click.option("--defense", type=str, default=None)
 @click.option("--m", "m_grid", type=str, default="", help="comma list of malicious fractions")
@@ -139,43 +134,25 @@ def attack_sweep(config_path, seed, out, defense, m_grid, beta_grid, gamma_grid,
     cfg = _load(config_path, seed, defense)
     if cfg.attack is None:
         raise click.ClickException("attack-sweep requires an [attack] section")
-    parse = lambda s, f: [f(v) for v in s.split(",") if v] if s else [None]
-    subs = []
-    try:  # a grid value that does not parse, or fails validation (ConfigError)
-        grid = [(m, b, g, o)
-                for m in parse(m_grid, float) for b in parse(beta_grid, float)
-                for g in parse(gamma_grid, float) for o in parse(onset_grid, int)]
-        if not grid:
-            raise ValueError("a grid list has no values")
-        for m, b, g, o in grid:
-            fed = cfg.federation if m is None else dataclasses.replace(
-                cfg.federation, malicious_fraction=m)
-            atk = dataclasses.replace(
-                cfg.attack,
-                **{k: v for k, v in
-                   (("beta", b), ("gamma", g), ("onset_round", o)) if v is not None})
-            subs.append(validate_config(dataclasses.replace(cfg, federation=fed,
-                                                            attack=atk)))
+    # a knob whose list is not given keeps the config's value
+    parse = lambda s, f, default: [f(v) for v in s.split(",") if v] if s else [default]
+    try:
+        variants = [{"m": m, "beta": b, "gamma": g, "onset": o}
+                    for m in parse(m_grid, float, cfg.federation.malicious_fraction)
+                    for b in parse(beta_grid, float, cfg.attack.beta)
+                    for g in parse(gamma_grid, float, cfg.attack.gamma)
+                    for o in parse(onset_grid, int, cfg.attack.onset_round)]
     except ValueError as exc:
+        raise click.ClickException(str(exc))
+    if not variants:
+        raise click.ClickException("a grid list has no values")
+    try:
+        rows = sweep(cfg, variants, [cfg.federation.master_seed])
+    except ConfigError as exc:
         raise click.ClickException(str(exc))
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for sub in subs:
-        _, log, score = run_experiment(sub)
-        rows.append({
-            "m": sub.federation.malicious_fraction, "beta": sub.attack.beta,
-            "gamma": sub.attack.gamma, "onset": sub.attack.onset_round,
-            "final_ap_src": _fmt(_final_ap(log, sub.attack.source_class)),
-            "precision_at_max_recall": _fmt(score.precision_at_max_recall),
-            "max_recall": _fmt(score.max_recall),
-            "time_to_purge": ("never" if score.time_to_purge is None
-                              else score.time_to_purge),
-        })
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    (out / "sweep.csv").write_text(rows_to_csv(rows))
     click.echo(f"sweep complete: {len(rows)} runs -> {out / 'sweep.csv'}")
 
 

@@ -1,9 +1,10 @@
-"""Defense scoring and multi-defense comparison runs.
+"""Defense scoring and the one experiment-grid runner.
 
 Precision/recall of revocations against ground-truth roles, the
 Table-style "precision at the earliest round of maximum recall" metric,
-and the orchestration that runs several defenses on the identical seeded
-attack stream.
+`vary`, the one way a knob (seed, defense, m, beta, gamma, onset) changes
+a config, and `sweep`, which runs a grid of such variants over seeds and
+returns one scored row per run.
 """
 
 from __future__ import annotations
@@ -26,17 +27,20 @@ __all__ = [
     "defense_metrics",
     "build_defense",
     "run_experiment",
-    "compare_defenses",
-    "comparison_to_csv",
+    "KNOBS",
+    "vary",
+    "sweep",
+    "rows_to_csv",
     "comparison_table",
 ]
 
 
 @dataclass
 class DefenseScore:
-    round_of_max_recall: Optional[int] = None
+    # the field order is the column order of the sweep CSVs
     precision_at_max_recall: Optional[float] = None
     max_recall: float = 0.0
+    round_of_max_recall: Optional[int] = None
     time_to_purge: Optional[int] = None            # first round with all malicious out
     true_positives: int = 0
     false_positives: int = 0
@@ -106,49 +110,46 @@ def run_experiment(config: ExperimentConfig, *, stream_hook=None, eval_every=1):
     return weights, log, score
 
 
-def _with_defense(config: ExperimentConfig, name: str) -> ExperimentConfig:
-    return dataclasses.replace(config,
-                               defense=dataclasses.replace(config.defense, name=name))
+# knob -> (config section, field)
+KNOBS = {"seed": ("federation", "master_seed"), "defense": ("defense", "name"),
+         "m": ("federation", "malicious_fraction"), "beta": ("attack", "beta"),
+         "gamma": ("attack", "gamma"), "onset": ("attack", "onset_round")}
 
 
-def _with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return dataclasses.replace(
-        config, federation=dataclasses.replace(config.federation, master_seed=seed))
+def vary(config: ExperimentConfig, **knobs) -> ExperimentConfig:
+    """`config` with each given knob of KNOBS set (None leaves it); unvalidated."""
+    for knob, value in knobs.items():
+        if value is not None:
+            section, name = KNOBS[knob]
+            config = dataclasses.replace(config, **{section: dataclasses.replace(
+                getattr(config, section), **{name: value})})
+    return config
 
 
-def _final_ap(log, class_id: int):
-    """AP of `class_id` at the last round that evaluated it, or None."""
-    return next((rec.ap[class_id] for rec in reversed(log.records)
-                 if rec.ap.get(class_id) is not None), None)
+def sweep(config: ExperimentConfig, variants, seeds, *, eval_every=1):
+    """Run each (variant, seed) cell of a grid, variant-major; one row per run.
 
-
-def compare_defenses(config: ExperimentConfig, defense_names, seeds):
-    """Run each defense on the identical seeded attack stream.
-
-    All per-(client, round) data and poisoning decisions derive from the
-    master seed alone, so every defense sees byte-identical poisoned
-    datasets whenever the same client participates at the same round.
-
-    Returns rows: one dict per (defense, seed).
+    A variant is a dict of KNOBS values and its cell is `vary(config,
+    **variant, seed=seed)`. Every cell is validated before the first run,
+    so a bad one raises ConfigError and nothing runs. Data and poisoning
+    derive from the master seed alone, so cells that differ only in the
+    defense see the identical attack stream. A row holds the variant,
+    `seed`, `final_ap_src` and every DefenseScore field.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    src = config.attack.source_class if config.attack else 0
+    cells = [(variant, seed, validate_config(vary(config, **variant, seed=seed)))
+             for variant in variants for seed in seeds]
     rows = []
-    for name in defense_names:
-        for seed in seeds:
-            cfg = _with_seed(_with_defense(config, name), seed)
-            _, log, score = run_experiment(cfg)
-            rows.append({"defense": name, "seed": seed,
-                         "final_ap_src": _final_ap(log, src),
-                         **dataclasses.asdict(score)})
+    for variant, seed, cfg in cells:
+        _, log, score = run_experiment(cfg, eval_every=eval_every)
+        src = cfg.attack.source_class if cfg.attack else 0
+        # the source class's AP at the last round that evaluated it
+        final_ap = next((rec.ap[src] for rec in reversed(log.records)
+                         if rec.ap.get(src) is not None), None)
+        rows.append({**variant, "seed": seed, "final_ap_src": final_ap,
+                     **dataclasses.asdict(score)})
     return rows
-
-
-# the comparison's column order; the score columns are DefenseScore's fields
-_CSV_FIELDS = ["defense", "seed", "final_ap_src", "precision_at_max_recall",
-               "max_recall", "round_of_max_recall", "time_to_purge",
-               "true_positives", "false_positives"]
 
 
 def _fmt(v):
@@ -159,12 +160,12 @@ def _fmt(v):
     return str(v)
 
 
-def comparison_to_csv(rows) -> str:
+def rows_to_csv(rows) -> str:
+    """Rows as CSV headed by the first row's keys; floats get six decimals, None `n/a`."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(row[k]) for k in _CSV_FIELDS})
+    writer.writerows({k: _fmt(v) for k, v in row.items()} for row in rows)
     return buf.getvalue()
 
 

@@ -353,10 +353,13 @@ def test_criterion_10_byte_determinism(tmp_path):
                                    "--seed", "3", "--defense", "stdlens",
                                    "--defense", "none"])
         assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["attack-sweep", "--config", str(cfg_path),
+                                   "--out", str(out / "sweep"), "--gamma", "0.5,1.0"])
+        assert res.exit_code == 0, res.output
     same = all(
         (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         for name in ("runlog.jsonl", "ap_curves.csv", "score.json",
-                     "cmp/comparison.csv", "cmp/comparison.txt"))
+                     "cmp/comparison.csv", "cmp/comparison.txt", "sweep/sweep.csv"))
     _report(10, "byte-identical artifacts", same,
-            "runlog.jsonl, ap_curves.csv, score.json, comparison.csv/.txt "
-            "identical across repeated runs")
+            "runlog.jsonl, ap_curves.csv, score.json, comparison.csv/.txt, "
+            "sweep.csv identical across repeated runs")

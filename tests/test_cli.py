@@ -155,7 +155,21 @@ def test_attack_sweep_grid(tiny_yaml, tmp_path):
             "--defense", "none", "--gamma", "0.5,1.0")
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
-    assert lines[0].startswith("m,beta,gamma,onset,")
+    assert lines[0] == ("m,beta,gamma,onset,seed,final_ap_src,precision_at_max_recall,"
+                        "max_recall,round_of_max_recall,time_to_purge,true_positives,"
+                        "false_positives")
+
+
+def test_attack_sweep_runs_at_the_config_seed_by_default(tiny_yaml, tmp_path):
+    # the tiny config's master_seed is 7
+    texts = []
+    for name, seed in (("default", []), ("seed7", ["--seed", "7"])):
+        _invoke("attack-sweep", "--config", tiny_yaml, "--out", str(tmp_path / name),
+                "--gamma", "0.5,1.0", *seed)
+        texts.append((tmp_path / name / "sweep.csv").read_text())
+    assert texts[0] == texts[1]
+    seed_col = texts[0].splitlines()[0].split(",").index("seed")
+    assert [line.split(",")[seed_col] for line in texts[0].splitlines()[1:]] == ["7", "7"]
 
 
 @pytest.mark.parametrize("flag, values, message", [

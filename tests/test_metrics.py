@@ -1,13 +1,15 @@
-"""Revocation scoring and the multi-defense comparison harness."""
+"""Revocation scoring and the experiment-grid runner."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from stdlens import metrics
+from stdlens.config import ConfigError
 from stdlens.engine import run_federation
-from stdlens.metrics import (build_defense, compare_defenses, comparison_table,
-                             comparison_to_csv, defense_metrics, run_experiment)
+from stdlens.metrics import (build_defense, comparison_table, defense_metrics, rows_to_csv,
+                             run_experiment, sweep, vary)
 
 
 def _roles(n_mal, n_hon):
@@ -67,29 +69,75 @@ def test_precision_at_earliest_max_recall():
     assert score.false_positives == 1
 
 
-def test_compare_defenses_runs_each_pair(tiny_config):
-    rows = compare_defenses(tiny_config, ["none", "spectral"], [1, 2])
+def _defenses(names):
+    return [{"defense": name} for name in names]
+
+
+def test_sweep_runs_each_pair(tiny_config):
+    rows = sweep(tiny_config, _defenses(["none", "spectral"]), [1, 2])
     assert len(rows) == 4
-    assert {(r["defense"], r["seed"]) for r in rows} == {
-        ("none", 1), ("none", 2), ("spectral", 1), ("spectral", 2)}
+    assert [(r["defense"], r["seed"]) for r in rows] == [
+        ("none", 1), ("none", 2), ("spectral", 1), ("spectral", 2)]
     for r in rows:
         if r["defense"] == "none":
             assert r["max_recall"] == 0.0
             assert r["true_positives"] == 0
 
 
-def test_compare_defenses_needs_seeds(tiny_config):
+def test_sweep_needs_seeds(tiny_config):
     with pytest.raises(ValueError):
-        compare_defenses(tiny_config, ["none"], [])
+        sweep(tiny_config, _defenses(["none"]), [])
+
+
+def test_sweep_validates_every_cell_before_any_run(tiny_config, monkeypatch):
+    runs = []
+    monkeypatch.setattr(metrics, "run_experiment",
+                        lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ConfigError, match="defense name must be one of"):
+        sweep(tiny_config, _defenses(["none", "bogus"]), [1, 2])
+    assert runs == []
+
+
+def test_sweep_rows_equal_runs_of_hand_built_configs(tiny_config):
+    # oracle: each cell's config built field by field, not through `vary`
+    variants = [{"gamma": g, "defense": d}
+                for g in (0.5, 1.0) for d in ("stdlens", "spectral")]
+    rows = sweep(tiny_config, variants, [1, 2], eval_every=5)
+    assert len(rows) == 8
+    for row in rows:
+        cfg = dataclasses.replace(
+            tiny_config,
+            federation=dataclasses.replace(tiny_config.federation,
+                                           master_seed=row["seed"]),
+            attack=dataclasses.replace(tiny_config.attack, gamma=row["gamma"]),
+            defense=dataclasses.replace(tiny_config.defense, name=row["defense"]))
+        _, log, score = run_experiment(cfg, eval_every=5)
+        final_ap = [rec.ap[0] for rec in log.records if rec.ap.get(0) is not None][-1]
+        assert row == {"gamma": row["gamma"], "defense": row["defense"],
+                       "seed": row["seed"], "final_ap_src": final_ap,
+                       **dataclasses.asdict(score)}
+    assert [(r["gamma"], r["defense"], r["seed"]) for r in rows] == [
+        (v["gamma"], v["defense"], seed) for v in variants for seed in (1, 2)]
+
+
+def test_vary_sets_each_knob_and_skips_none(tiny_config):
+    cfg = vary(tiny_config, seed=3, defense="spatial", m=0.1, beta=0.2,
+               gamma=0.5, onset=4)
+    assert (cfg.federation.master_seed, cfg.defense.name,
+            cfg.federation.malicious_fraction) == (3, "spatial", 0.1)
+    assert (cfg.attack.beta, cfg.attack.gamma, cfg.attack.onset_round) == (0.2, 0.5, 4)
+    assert vary(tiny_config, seed=None, defense=None, beta=None) == tiny_config
 
 
 def test_comparison_csv_and_table_are_deterministic(tiny_config):
-    rows = compare_defenses(tiny_config, ["none"], [3])
-    rows2 = compare_defenses(tiny_config, ["none"], [3])
-    assert comparison_to_csv(rows) == comparison_to_csv(rows2)
+    rows = sweep(tiny_config, _defenses(["none"]), [3])
+    rows2 = sweep(tiny_config, _defenses(["none"]), [3])
+    assert rows_to_csv(rows) == rows_to_csv(rows2)
     table = comparison_table(rows)
     assert "none" in table
-    assert comparison_to_csv(rows).splitlines()[0].startswith("defense,seed,")
+    assert rows_to_csv(rows).splitlines()[0] == (
+        "defense,seed,final_ap_src,precision_at_max_recall,max_recall,"
+        "round_of_max_recall,time_to_purge,true_positives,false_positives")
 
 
 def test_population_exhaustion_ends_the_run_with_the_partial_log(tiny_config):

@@ -15,7 +15,7 @@ from stdlens.engine import fedavg_aggregate, run_federation
 from stdlens.config import AttackSpec, CONFIDENCE_TO_Z
 from stdlens.forensics import (GradientContribution, round_class_blocks,
                                sigma_zone_partition, temporal_signature, two_means_1d)
-from stdlens.metrics import _with_defense, _with_seed, build_defense
+from stdlens.metrics import build_defense, vary
 from stdlens.replay import replay_stream
 from stdlens.seeding import derive_seed
 from tests.conftest import make_tiny_config
@@ -215,7 +215,7 @@ def test_seed_derivation_separates_streams():
 @functools.lru_cache(maxsize=3)
 def _tiny_stream(seed):
     """The per-round contribution stream of an undefended tiny-config run."""
-    cfg = _with_seed(_with_defense(make_tiny_config(), "none"), seed)
+    cfg = vary(make_tiny_config(), defense="none", seed=seed)
     stream = []
 
     def hook(rnd, client_ids, deltas):
@@ -230,7 +230,7 @@ def _tiny_stream(seed):
 
 def _revocations(seed, defense, stream):
     cfg, _ = _tiny_stream(seed)
-    events, _ = replay_stream(build_defense(_with_defense(cfg, defense)), stream)
+    events, _ = replay_stream(build_defense(vary(cfg, defense=defense)), stream)
     return set(events)
 
 

@@ -14,7 +14,7 @@ import pytest
 from stdlens.config import load_config
 from stdlens.engine import run_federation
 from stdlens.forensics import GradientContribution, extract_class_gradient_block
-from stdlens.metrics import _with_defense, _with_seed, build_defense, run_experiment
+from stdlens.metrics import build_defense, run_experiment, vary
 from stdlens.replay import _write_records, read_stream, stream_dump_hook
 from tests.conftest import make_tiny_config
 
@@ -86,7 +86,14 @@ def test_a_dumped_canonical_stream_matches_the_reference(tmp_path):
     finally:
         dump.close()
     assert len(reference) == cfg.federation.rounds
-    assert path.read_text() == "".join(reference)
+    # line by line, naming the first differing record: the dump is ~10 MB,
+    # and a failing whole-file compare takes minutes to report
+    expected = "".join(reference).encode().splitlines(keepends=True)
+    dumped = path.read_bytes().splitlines(keepends=True)
+    first = next((i for i, (a, b) in enumerate(zip(dumped, expected)) if a != b), None)
+    assert first is None, (f"line {first + 1} (round {json.loads(expected[first])['round']})"
+                           f" differs: {dumped[first][:120]!r} != {expected[first][:120]!r}")
+    assert len(dumped) == len(expected)
 
 
 @pytest.mark.parametrize("defense", ["stdlens", "spatial", "spectral"])
@@ -95,7 +102,7 @@ def test_live_rounds_and_their_dumped_records_get_the_same_verdicts(seed, defens
                                                                      tmp_path):
     # one defense sees the live rounds through observe_round, a second the
     # dumped records read back, through observe_contributions
-    cfg = _with_seed(_with_defense(make_tiny_config(), defense), seed)
+    cfg = vary(make_tiny_config(), defense=defense, seed=seed)
     live, replayed = build_defense(cfg), build_defense(cfg)
     path = tmp_path / "stream.jsonl"
     dump = stream_dump_hook(path, cfg.task.num_classes)
