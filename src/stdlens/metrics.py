@@ -27,7 +27,6 @@ __all__ = [
     "defense_metrics",
     "build_defense",
     "run_experiment",
-    "KNOBS",
     "vary",
     "sweep",
     "rows_to_csv",
@@ -111,25 +110,25 @@ def run_experiment(config: ExperimentConfig, *, stream_hook=None, eval_every=1):
 
 
 # knob -> (config section, field)
-KNOBS = {"seed": ("federation", "master_seed"), "defense": ("defense", "name"),
-         "m": ("federation", "malicious_fraction"), "beta": ("attack", "beta"),
-         "gamma": ("attack", "gamma"), "onset": ("attack", "onset_round")}
+_KNOBS = {"seed": ("federation", "master_seed"), "defense": ("defense", "name"),
+          "m": ("federation", "malicious_fraction"), "beta": ("attack", "beta"),
+          "gamma": ("attack", "gamma"), "onset": ("attack", "onset_round")}
 
 
 def vary(config: ExperimentConfig, **knobs) -> ExperimentConfig:
-    """`config` with each given knob of KNOBS set (None leaves it); unvalidated."""
+    """`config` with the given seed/defense/m/beta/gamma/onset knobs set (None skips)."""
     for knob, value in knobs.items():
         if value is not None:
-            section, name = KNOBS[knob]
+            section, name = _KNOBS[knob]
             config = dataclasses.replace(config, **{section: dataclasses.replace(
                 getattr(config, section), **{name: value})})
     return config
 
 
-def sweep(config: ExperimentConfig, variants, seeds, *, eval_every=1):
+def sweep(config: ExperimentConfig, variants, seeds):
     """Run each (variant, seed) cell of a grid, variant-major; one row per run.
 
-    A variant is a dict of KNOBS values and its cell is `vary(config,
+    A variant is a dict of `vary` knobs and its cell is `vary(config,
     **variant, seed=seed)`. Every cell is validated before the first run,
     so a bad one raises ConfigError and nothing runs. Data and poisoning
     derive from the master seed alone, so cells that differ only in the
@@ -142,7 +141,7 @@ def sweep(config: ExperimentConfig, variants, seeds, *, eval_every=1):
              for variant in variants for seed in seeds]
     rows = []
     for variant, seed, cfg in cells:
-        _, log, score = run_experiment(cfg, eval_every=eval_every)
+        _, log, score = run_experiment(cfg)
         src = cfg.attack.source_class if cfg.attack else 0
         # the source class's AP at the last round that evaluated it
         final_ap = next((rec.ap[src] for rec in reversed(log.records)

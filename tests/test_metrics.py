@@ -102,7 +102,7 @@ def test_sweep_rows_equal_runs_of_hand_built_configs(tiny_config):
     # oracle: each cell's config built field by field, not through `vary`
     variants = [{"gamma": g, "defense": d}
                 for g in (0.5, 1.0) for d in ("stdlens", "spectral")]
-    rows = sweep(tiny_config, variants, [1, 2], eval_every=5)
+    rows = sweep(tiny_config, variants, [1, 2])
     assert len(rows) == 8
     for row in rows:
         cfg = dataclasses.replace(
@@ -111,7 +111,7 @@ def test_sweep_rows_equal_runs_of_hand_built_configs(tiny_config):
                                            master_seed=row["seed"]),
             attack=dataclasses.replace(tiny_config.attack, gamma=row["gamma"]),
             defense=dataclasses.replace(tiny_config.defense, name=row["defense"]))
-        _, log, score = run_experiment(cfg, eval_every=5)
+        _, log, score = run_experiment(cfg)
         final_ap = [rec.ap[0] for rec in log.records if rec.ap.get(0) is not None][-1]
         assert row == {"gamma": row["gamma"], "defense": row["defense"],
                        "seed": row["seed"], "final_ap_src": final_ap,
