@@ -2,14 +2,13 @@
 
 Subcommands: run, compare-defenses, attack-sweep, verify-stats, replay.
 compare-defenses (defense x seed) and attack-sweep (a grid of attack
-knobs at one seed) are both `metrics.sweep` grids written with
-`metrics.rows_to_csv`. All artifacts land under --out with fixed names;
+knobs at one seed) are both `metrics.sweep` grids. Every CSV is written
+by `metrics.rows_to_csv`. All artifacts land under --out with fixed names;
 outputs are deterministic given (config, seed).
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -40,27 +39,6 @@ def _load(config_path, seed, defense):
         raise click.ClickException(str(exc))
 
 
-def _write_ap_curves(out: Path, log, num_classes: int):
-    with open(out / "ap_curves.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round"] + [f"ap_{c}" for c in range(num_classes)])
-        for rec in log.records:
-            row = [rec.round]
-            for c in range(num_classes):
-                v = rec.ap.get(c)
-                row.append("n/a" if v is None else f"{v:.6f}")
-            writer.writerow(row)
-
-
-def _write_timings(out: Path, log):
-    with open(out / "timings.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["round", "duration_s", *PHASES])
-        for rec in log.records:
-            writer.writerow([rec.round] + [f"{getattr(rec, name):.6f}"
-                                           for name in ("duration_s", *PHASES)])
-
-
 @click.group()
 def main():
     """Deterministic FL poisoning/defense workbench."""
@@ -86,8 +64,13 @@ def run(config_path, seed, out, defense, dump_stream):
         if hook is not None:
             hook.close()
     log.write_jsonl(out / "runlog.jsonl")
-    _write_ap_curves(out, log, cfg.task.num_classes)
-    _write_timings(out, log)
+    classes = range(cfg.task.num_classes)
+    (out / "ap_curves.csv").write_text(rows_to_csv(
+        [{"round": rec.round, **{f"ap_{c}": rec.ap.get(c) for c in classes}}
+         for rec in log.records]))
+    (out / "timings.csv").write_text(rows_to_csv(
+        [{"round": rec.round, **{k: getattr(rec, k) for k in ("duration_s", *PHASES)}}
+         for rec in log.records]))
     with open(out / "score.json", "w") as fh:
         json.dump(dataclasses.asdict(score), fh, sort_keys=True, indent=2)
     click.echo(f"run complete: {len(log.records)} rounds, "

@@ -153,6 +153,11 @@ def run_federation(config: ExperimentConfig, defense=None, *,
     observe_round, which may revoke clients; a revoked client is excluded
     from all later selections. Once fewer than two clients are active
     the run ends, and the weights and log so far are returned.
+
+    AP is evaluated on rounds where `rnd % eval_every == 0` and on the
+    run's last round: the configured last one, or the round whose
+    revocations leave fewer than two active clients. So the last
+    RoundRecord always carries the run's final AP.
     """
     validate_config(config)
     fed, task, attack = config.federation, config.task, config.attack
@@ -219,8 +224,8 @@ def run_federation(config: ExperimentConfig, defense=None, *,
                 active.discard(cid)
 
         t_eval = time.perf_counter()
-        ap = (evaluate_per_class_ap(weights, test)
-              if rnd % eval_every == 0 or rnd == fed.rounds - 1 else {})
+        last = rnd == fed.rounds - 1 or len(active) < 2
+        ap = evaluate_per_class_ap(weights, test) if rnd % eval_every == 0 or last else {}
         t_end = time.perf_counter()
         log.append(RoundRecord(rnd, sorted(participants), ap, poisoned_flags,
                                sorted(revocations), sorted(watchlist_events),

@@ -32,7 +32,6 @@ gate, where forcing it open raises false positives from 6 to 9.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,37 +77,25 @@ class GradientContribution:
 
 
 def extract_class_gradient_block(delta: DetectorWeights, class_id: int) -> np.ndarray:
-    """Deterministic flattening of the per-class slice of each head.
-
-    Class-head row c, then bbox-head rows for c in offset order, then the
-    objn row, each across all anchors: 6*A*d entries.
-    """
-    A, C, d = delta.shape_params
-    if not (0 <= class_id < C):
+    """The flat per-class block of one model: round_class_blocks(delta)[class_id]."""
+    if not (0 <= class_id < delta.shape_params[1]):
         raise ValueError("class_id out of range")
-    return np.concatenate([
-        delta.w_class[:, class_id, :].ravel(),
-        delta.w_bbox[:, class_id, :, :].ravel(),
-        delta.w_objn[:, class_id, :].ravel(),
-    ])
-
-
-@functools.lru_cache(maxsize=None)
-def _block_table(A: int, C: int, d: int) -> np.ndarray:
-    """(C, 6*A*d) flat-vector indices of every class block: the blocks of an
-    index-valued model, so extract_class_gradient_block alone defines the
-    layout."""
-    size = len(DetectorWeights.zeros(A, C, d).to_vector())
-    index = DetectorWeights.from_vector(np.arange(size), A, C, d)
-    table = np.stack([extract_class_gradient_block(index, c) for c in range(C)])
-    table.flags.writeable = False
-    return table
+    return round_class_blocks(delta)[class_id]
 
 
 def round_class_blocks(deltas: DetectorWeights) -> np.ndarray:
-    """(P, C, 6*A*d) per-class blocks of a round's (P, ...) stack of deltas
-    in one gather: blocks[i, c] equals extract_class_gradient_block(deltas[i], c)."""
-    return deltas.to_vector()[:, _block_table(*deltas.shape_params)]
+    """(..., C, 6*A*d) per-class blocks of a model or a (P, ...) stack of them.
+
+    The deterministic flattening of each head's per-class slice: class-head
+    row c, then bbox-head rows for c in offset order, then the objn row,
+    each across all anchors.
+    """
+    C = deltas.shape_params[1]
+    k = deltas.w_class.ndim - 3        # the anchor axis, after any leading axes
+    lead = deltas.w_class.shape[:k]
+    return np.concatenate([np.moveaxis(w, k, k + 1).reshape(*lead, C, -1)
+                           for w in (deltas.w_class[..., :C, :], deltas.w_bbox,
+                                     deltas.w_objn)], axis=-1)
 
 
 def covariance_top_eigh(samples: np.ndarray, k: int):

@@ -4,7 +4,10 @@ Precision/recall of revocations against ground-truth roles, the
 Table-style "precision at the earliest round of maximum recall" metric,
 `vary`, the one way a knob (seed, defense, m, beta, gamma, onset) changes
 a config, and `sweep`, which runs a grid of such variants over seeds and
-returns one scored row per run.
+returns one scored row per run. A run's last record always carries its
+AP (see `run_federation`), so `final_ap_src`, the source class's AP at
+the run's last round, is read there; a grid evaluates AP at round 0 and
+at each run's last round only.
 """
 
 from __future__ import annotations
@@ -100,7 +103,8 @@ def run_experiment(config: ExperimentConfig, *, stream_hook=None, eval_every=1):
     """One federation run with the configured defense.
 
     Returns (weights, run_log, score); a run that revokes all but one
-    client ends early and is scored on its partial log.
+    client ends early and is scored on its partial log. AP is evaluated
+    every `eval_every` rounds and at the run's last round, early or not.
     """
     validate_config(config)
     weights, log = run_federation(config, build_defense(config),
@@ -133,7 +137,9 @@ def sweep(config: ExperimentConfig, variants, seeds):
     so a bad one raises ConfigError and nothing runs. Data and poisoning
     derive from the master seed alone, so cells that differ only in the
     defense see the identical attack stream. A row holds the variant,
-    `seed`, `final_ap_src` and every DefenseScore field.
+    `seed`, `final_ap_src` and every DefenseScore field. Rows read no AP
+    before a run's last round, so each run evaluates AP only at round 0
+    and at its last round.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -141,12 +147,9 @@ def sweep(config: ExperimentConfig, variants, seeds):
              for variant in variants for seed in seeds]
     rows = []
     for variant, seed, cfg in cells:
-        _, log, score = run_experiment(cfg)
+        _, log, score = run_experiment(cfg, eval_every=cfg.federation.rounds)
         src = cfg.attack.source_class if cfg.attack else 0
-        # the source class's AP at the last round that evaluated it
-        final_ap = next((rec.ap[src] for rec in reversed(log.records)
-                         if rec.ap.get(src) is not None), None)
-        rows.append({**variant, "seed": seed, "final_ap_src": final_ap,
+        rows.append({**variant, "seed": seed, "final_ap_src": log.records[-1].ap.get(src),
                      **dataclasses.asdict(score)})
     return rows
 

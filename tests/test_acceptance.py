@@ -86,12 +86,11 @@ class RunResult:
 def _run(seed: int, poison: Optional[str], defense: str, beta: float = 0.0,
          gamma: float = 1.0, onset: int = 0) -> RunResult:
     cfg = _config(seed, poison, defense, beta, gamma, onset)
-    _, log, score = run_experiment(cfg, eval_every=10)
-    ap = next((rec.ap[SOURCE] for rec in reversed(log.records)
-               if rec.ap.get(SOURCE) is not None), None)
-    return RunResult(ap, score.true_positives, score.false_positives,
-                     score.max_recall, score.precision_at_max_recall,
-                     score.time_to_purge, log.revocation_history)
+    _, log, score = run_experiment(cfg, eval_every=cfg.federation.rounds)
+    return RunResult(log.records[-1].ap.get(SOURCE), score.true_positives,
+                     score.false_positives, score.max_recall,
+                     score.precision_at_max_recall, score.time_to_purge,
+                     log.revocation_history)
 
 
 def _perfect(r: RunResult) -> bool:

@@ -156,3 +156,9 @@ def test_population_exhaustion_ends_the_run_with_the_partial_log(tiny_config):
     assert (score.true_positives, score.false_positives) == (2, 8)
     assert np.isfinite(weights.to_vector()).all()
     assert weights.to_vector().tobytes() == live_weights.to_vector().tobytes()
+    # the round that exhausts the population is the last one, and it carries
+    # the run's final AP whatever the evaluation cadence
+    _, sparse_log, _ = run_experiment(cfg, eval_every=cfg.federation.rounds)
+    last = sparse_log.records[-1]
+    assert sorted(last.ap) == list(range(cfg.task.num_classes))
+    assert last.ap == log.records[-1].ap
