@@ -32,6 +32,7 @@ gate, where forcing it open raises false positives from 6 to 9.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,7 +67,7 @@ MAX_BLOCK_ENTRY = 1e100     # larger admitted entries could overflow a covarianc
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class GradientContribution:
     """One client's per-class output-layer gradient block for one round."""
 
@@ -270,8 +271,10 @@ def trajectory_signatures(client_ids, rounds, points, omega: int) -> dict:
     k = np.tile(np.arange(1, omega + 1), len(late))
     totals = np.bincount(owner[j], weights=np.abs(pts[j] - pts[j - k]).sum(axis=1),
                          minlength=len(starts))
-    return {int(ids[starts[g]]): totals[g] / (omega * sizes[g] - omega * omega)
-            for g in np.argsort(by_client[starts]) if sizes[g] > omega}
+    g = np.argsort(by_client[starts])
+    g = g[sizes[g] > omega]
+    return dict(zip(ids[starts[g]].tolist(),
+                    (totals[g] / (omega * sizes[g] - omega * omega)).tolist()))
 
 
 def sigma_zone_partition(values: np.ndarray, assignments: np.ndarray,
@@ -380,6 +383,30 @@ def unit_norm(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_id_type(t: type) -> bool:
+    """The id rule: an id is an int or a numpy integer, never a bool."""
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
+def _round_columns(contributions, dim: int) -> Optional[tuple]:
+    """(client ids, rounds, class ids, blocks) of a round, each built by one
+    np.array call, or None unless every id follows the id rule and every
+    column comes out int64 and the blocks as one (n, dim) matrix."""
+    columns = ([g.client_id for g in contributions], [g.round for g in contributions],
+               [g.class_id for g in contributions])
+    if not all(map(_is_id_type, set(map(type, itertools.chain(*columns))))):
+        return None
+    try:
+        ids, rounds, class_ids = map(np.array, columns)
+        blocks = np.array([g.block for g in contributions], dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if (blocks.shape != (len(contributions), dim)
+            or not ids.dtype == rounds.dtype == class_ids.dtype == np.int64):
+        return None
+    return ids, rounds, class_ids, blocks
+
+
 class WindowedDefense:
     """Ingestion shell shared by every windowed defense.
 
@@ -389,12 +416,17 @@ class WindowedDefense:
     class id out of range, a non-finite block, an entry above
     MAX_BLOCK_ENTRY in magnitude after `_admit`, and a repeat of an admitted
     (client, round, class) triple, where the first admitted occurrence
-    wins. A block not of length `block_dim` (with no `block_dim`, the first
-    block fixes it) or an id beyond int64 is dropped before the columns are
-    built. Each class buffers `(ids, rounds, blocks)` chunks, and each
-    window of `window` rounds, keyed on `round // window`, goes to `_decide`
-    as per-class arrays; it returns (clients to revoke, watchlist events).
-    No client is revoked twice."""
+    wins. `observe_contributions` drops a record before the columns are
+    built when its block is not of length `block_dim` (with no `block_dim`,
+    the first block fixes it) or when an id is not an int or a numpy integer
+    (bools excluded) within int64, so no id is ever truncated into another
+    client's. A round whose records all pass is built as columns in one
+    step, one `np.array` call per column; any other round is filtered a
+    record at a time, with the same outcome. Each class buffers
+    `(ids, rounds, blocks)` chunks, and each window of `window` rounds,
+    keyed on `round // window`, goes to `_decide` as per-class arrays; it
+    returns (clients to revoke, watchlist events). No client is revoked
+    twice."""
 
     def __init__(self, num_classes: int, window: int,
                  block_dim: Optional[int] = None):
@@ -420,19 +452,23 @@ class WindowedDefense:
 
     def observe_contributions(self, round_idx: int, contributions
                               ) -> tuple[list[int], list[int]]:
-        """Replay-mode hook: consume the contributions of round `round_idx`."""
+        """Replay-mode hook: consume the contributions of round `round_idx`,
+        a list of GradientContribution."""
         dim = self.block_dim
         if dim is None:
             dim = next((len(g.block) for g in contributions if np.ndim(g.block) == 1), 0)
-        rows = [g for g in contributions if np.shape(g.block) == (dim,)
-                and _INT64_MIN <= min(g.client_id, g.round, g.class_id)
-                and max(g.client_id, g.round, g.class_id) <= _INT64_MAX]
-        return self._ingest(
-            round_idx,
-            np.array([g.client_id for g in rows], dtype=np.int64),
-            np.array([g.round for g in rows], dtype=np.int64),
-            np.array([g.class_id for g in rows], dtype=np.int64),
-            np.array([g.block for g in rows], dtype=float) if rows else np.empty((0, dim)))
+        columns = _round_columns(contributions, dim)
+        if columns is None:
+            rows = [g for g in contributions if np.shape(g.block) == (dim,)
+                    and all(_is_id_type(type(v)) for v in (g.client_id, g.round, g.class_id))
+                    and _INT64_MIN <= min(g.client_id, g.round, g.class_id)
+                    and max(g.client_id, g.round, g.class_id) <= _INT64_MAX]
+            columns = (
+                np.array([g.client_id for g in rows], dtype=np.int64),
+                np.array([g.round for g in rows], dtype=np.int64),
+                np.array([g.class_id for g in rows], dtype=np.int64),
+                np.array([g.block for g in rows], dtype=float) if rows else np.empty((0, dim)))
+        return self._ingest(round_idx, *columns)
 
     def _ingest(self, round_idx: int, ids: np.ndarray, rounds: np.ndarray,
                 class_ids: np.ndarray, blocks: np.ndarray) -> tuple[list[int], list[int]]:
@@ -445,7 +481,8 @@ class WindowedDefense:
         self._open = index
         if self.block_dim is None and len(blocks):
             self.block_dim = blocks.shape[1]
-        keep = ((rounds == round_idx) & ~np.isin(ids, list(self.revoked))
+        revoked = np.fromiter(map(self.revoked.__contains__, ids.tolist()), bool, len(ids))
+        keep = ((rounds == round_idx) & ~revoked
                 & (class_ids >= 0) & (class_ids < self.num_classes)
                 & np.isfinite(blocks).all(axis=1) & (blocks.shape[1] == self.block_dim))
         rows = np.flatnonzero(keep)

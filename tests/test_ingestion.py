@@ -1,6 +1,9 @@
 """Ingestion drops hostile records without a trace: a stream with injected
-malformed, repeated, misdated or revoked-client records yields the verdicts
-(and, for stdlens, the watchlist strikes) of the same stream without them."""
+malformed (non-integer ids included), repeated, misdated or revoked-client
+records yields the verdicts (and, for stdlens, the watchlist strikes) of the
+same stream without them."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,7 +49,8 @@ def _honest_stream(seed: int, n_honest: int, dim: int):
 
 # each kind makes one record that one drop rule removes; the entry bound
 # is no drop rule for stdlens with unit-norm admission, which rescales it
-KINDS = ["nan", "inf", "huge", "short", "long", "class", "dup", "late", "revoked"]
+KINDS = ["nan", "inf", "huge", "short", "long", "class", "dup", "late", "revoked",
+         "float-id", "bool-id"]
 
 
 def _hostile(kind, original, c, dim, revoked_by):
@@ -75,6 +79,16 @@ def _hostile(kind, original, c, dim, revoked_by):
         if not gone:
             return None
         cid = gone[0]
+    elif kind == "float-id":
+        # one id half above the original's, which truncates to it
+        if cid % 3 == 0:
+            cid += 0.5
+        elif cid % 3 == 1:
+            r += 0.5
+        else:
+            c += 0.5
+    elif kind == "bool-id":
+        cid, c = bool(cid % 2), bool(c)     # equal to client 0 or 1, class 0 or 1
     return GradientContribution(cid, r, c, block)
 
 
@@ -157,3 +171,53 @@ def test_without_block_dim_the_first_block_fixes_the_length():
            for r, c in enumerate(stream)]
     assert got == want
     assert dirty.block_dim == 5
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(1.0)], ids=repr)
+def test_a_non_integer_client_id_takes_no_client_slot(bad):
+    # int64 truncation would turn each of these ids into honest client 1
+    def round0(hostile):
+        defense = StdLensDefense(num_classes=1, window=2, omega=1, confidence=0.99,
+                                 block_dim=4)
+        rng = np.random.default_rng(0)
+        defense.observe_contributions(0, hostile + [
+            GradientContribution(c, 0, 0, rng.standard_normal(4)) for c in range(5)])
+        return defense._chunks[0]
+
+    ((ids, _, blocks),) = round0([GradientContribution(bad, 0, 0, np.full(4, 6.0))])
+    ((want_ids, _, want_blocks),) = round0([])
+    assert ids.tolist() == want_ids.tolist() == [0, 1, 2, 3, 4]
+    assert np.array_equal(blocks, want_blocks)
+
+
+# Rounds that are odd throughout: the per-record filter takes them (the
+# list blocks excepted), and each keeps just what the rules keep record by
+# record.
+ODD_ROUNDS = {
+    "two-dim-blocks": (lambda g: [replace(g, block=g.block[None])], lambda g: []),
+    "list-blocks": (lambda g: [replace(g, block=g.block.tolist())], lambda g: [g]),
+    "int32-ids": (lambda g: [replace(g, client_id=np.int32(g.client_id),
+                                     round=np.int32(g.round),
+                                     class_id=np.int32(g.class_id))], lambda g: [g]),
+    "int-and-bool-ids": (lambda g: [replace(g, client_id=True), g], lambda g: [g]),
+}
+
+
+@pytest.mark.parametrize("kind", ODD_ROUNDS)
+def test_an_odd_round_keeps_what_the_record_rules_keep(kind):
+    odd, kept = ODD_ROUNDS[kind]
+    stream = _honest_stream(6, 10, 5)
+
+    def every_third_round(f):
+        return [[h for g in c for h in f(g)] if r % 3 == 2 else c
+                for r, c in enumerate(stream)]
+
+    clean, dirty = _make("stdlens", 5), _make("stdlens", 5)
+    for r, (got, want) in enumerate(zip(every_third_round(odd), every_third_round(kept))):
+        assert dirty.observe_contributions(r, got) == clean.observe_contributions(r, want)
+        for c in range(2):
+            for chunk, want_chunk in zip(dirty._chunks[c], clean._chunks[c], strict=True):
+                for x, y in zip(chunk, want_chunk, strict=True):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert (dirty.revoked, dirty.clients, dirty.strikes) == (
+        clean.revoked, clean.clients, clean.strikes)
