@@ -6,8 +6,8 @@ from .config import (AttackSpec, ConfigError, DefenseConfig, ExperimentConfig,
                      FederationConfig, TaskConfig, load_config, validate_config)
 from .detection import (ClientDataset, DetectorWeights, average_precision,
                         detector_loss_and_grad, generate_federation_data, iou)
-from .engine import (PopulationExhaustedError, RunLog, fedavg_aggregate,
-                     local_update, run_federation, select_participants)
+from .engine import (RunLog, fedavg_aggregate, local_update, run_federation,
+                     select_participants)
 from .forensics import (GradientContribution, StdLensDefense,
                         extract_class_gradient_block, flag_suspect_classes,
                         sigma_zone_partition, spatial_project, temporal_signature)

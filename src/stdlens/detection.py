@@ -6,10 +6,12 @@ model is a linear multi-head detector with analytic gradients. Box sizes
 are regressed in log space so shrink-style label corruption leaves a
 geometric footprint that survives averaging.
 
-Each step works on whole arrays: a round's client datasets are drawn in
-one pass, training computes a batch's label arrays once and then only
-the gradient, and one greedy matcher ranks every class's predictions for
-average precision.
+Each step works on whole arrays, and the one-hot labels serve as indices:
+a round's client datasets are drawn in one pass; training finds a batch's
+label arrays, foreground anchors and their head rows once, and each epoch
+then scatters the box and objectness errors into those rows; and one
+greedy matcher ranks every class's predictions for average precision on
+the test set's (sample, anchor) grid as it is.
 
 Conventions:
   - classes 0..C-1 are foreground, C is background
@@ -285,19 +287,24 @@ def _heads(weights: DetectorWeights, x: np.ndarray, rows: np.ndarray):
 class BatchTargets:
     """The label-derived arrays of a batch, built once per local round:
     onehot (..., n, A, C+1), foreground mask fg and objectness targets t
-    (..., n, A), encoded boxes (..., n, A, 4) and head rows (_head_rows)."""
+    (..., n, A), encoded boxes (..., n, A, 4), head rows (_head_rows), and
+    the flat positions fg_at of the foreground anchors in the (..., n, A)
+    grid with their head rows fg_rows."""
 
     onehot: np.ndarray
     fg: np.ndarray
     boxes: np.ndarray
     t: np.ndarray
     rows: np.ndarray
+    fg_at: np.ndarray
+    fg_rows: np.ndarray
 
     @staticmethod
     def of(batch: ClientDataset, C: int) -> "BatchTargets":
-        return BatchTargets(np.eye(C + 1)[batch.classes], batch.classes < C,
-                            _encode_boxes(batch.bboxes), batch.objn.astype(float),
-                            _head_rows(batch.classes, C))
+        fg, rows = batch.classes < C, _head_rows(batch.classes, C)
+        fg_at = np.flatnonzero(fg)
+        return BatchTargets(np.eye(C + 1)[batch.classes], fg, _encode_boxes(batch.bboxes),
+                            batch.objn.astype(float), rows, fg_at, rows.ravel()[fg_at])
 
 
 def detector_grad(weights: DetectorWeights, x: np.ndarray, targets: BatchTargets):
@@ -313,13 +320,16 @@ def detector_grad(weights: DetectorWeights, x: np.ndarray, targets: BatchTargets
     g_class = norm * _backward(probs - targets.onehot, x, (A, C + 1))
 
     # bbox and objn: only the true class's row of a foreground anchor
-    # trains, so each output gradient is nonzero in that row alone
-    sel = targets.onehot[..., :C]
+    # trains, so each output gradient is scattered into that row alone
     box, z = _heads(weights, x, targets.rows)
     resid = np.where(targets.fg[..., None], box - targets.boxes, 0.0)
-    g_bbox = norm * _backward(sel[..., None] * resid[..., None, :], x, (A, C, 4))
-    p = 1.0 / (1.0 + np.exp(-z))
-    g_objn = norm * _backward(sel * (p - targets.t)[..., None], x, (A, C))
+    lead, fg_at, fg_rows = targets.fg.shape, targets.fg_at, targets.fg_rows
+    d_box = np.zeros((targets.rows.size * C, 4))
+    d_box[fg_rows] = resid.reshape(-1, 4)[fg_at]
+    g_bbox = norm * _backward(d_box.reshape(*lead, C, 4), x, (A, C, 4))
+    d_z = np.zeros(targets.rows.size * C)
+    d_z[fg_rows] = 1.0 / (1.0 + np.exp(-z.ravel()[fg_at])) - targets.t.ravel()[fg_at]
+    g_objn = norm * _backward(d_z.reshape(*lead, C), x, (A, C))
     return DetectorWeights(g_class, g_bbox, g_objn), (probs, resid, z)
 
 
@@ -374,80 +384,93 @@ def iou(box_a, box_b):
     b = np.asarray(box_b, dtype=float)
     if (a[..., 2:] <= 0).any() or (b[..., 2:] <= 0).any():
         raise ValueError("boxes must have positive width and height")
-    ax, ay, aw, ah = (a[..., j] for j in range(4))
-    bx, by, bw, bh = (b[..., j] for j in range(4))
-    ix = np.maximum(0.0, np.minimum(ax + aw / 2, bx + bw / 2)
-                    - np.maximum(ax - aw / 2, bx - bw / 2))
-    iy = np.maximum(0.0, np.minimum(ay + ah / 2, by + bh / 2)
-                    - np.maximum(ay - ah / 2, by - bh / 2))
+    return _iou(_corners(a), _corners(b))
+
+
+def _corners(boxes: np.ndarray):
+    """(left, top, right, bottom, area) of (..., 4) boxes, each (...)."""
+    x, y, w, h = (boxes[..., j] for j in range(4))
+    return x - w / 2, y - h / 2, x + w / 2, y + h / 2, w * h
+
+
+def _iou(a, b) -> np.ndarray:
+    """iou of two boxes given as _corners, unchecked."""
+    ix = np.maximum(0.0, np.minimum(a[2], b[2]) - np.maximum(a[0], b[0]))
+    iy = np.maximum(0.0, np.minimum(a[3], b[3]) - np.maximum(a[1], b[1]))
     inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union
+    return inter / (a[4] + b[4] - inter)
 
 
-def _rank_within_group(keys: np.ndarray) -> np.ndarray:
-    """Position of each element among the elements with its key, in input order."""
-    order = np.argsort(keys, kind="stable")
-    run_start = np.zeros(len(keys), dtype=np.int64)
-    new = np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1
-    run_start[new] = new
-    rank = np.empty_like(run_start)
-    rank[order] = np.arange(len(keys)) - np.maximum.accumulate(run_start)
-    return rank
+def _grid_average_precisions(C, pred_class, pred_conf, pred_boxes, pred_key,
+                             gt_class, gt_boxes):
+    """AP of each class 0..C-1 by greedy IoU matching on a (row, slot) grid.
 
-
-def _class_average_precisions(C, pred_class, pred_samples, pred_conf, pred_boxes,
-                              gt_class, gt_samples, gt_boxes):
-    """AP of each class 0..C-1 with greedy IoU matching, all classes in one
-    matcher. Each class's predictions and truths match only each other, as
-    in average_precision; {class: AP or None}."""
-    n_gt = np.bincount(gt_class, minlength=C)
+    Predictions (R, S) and truths (R, T) share their rows, one per sample,
+    and class C marks an empty slot. Predictions rank by (class,
+    -confidence, pred_key); each in turn takes the highest-IoU unmatched
+    truth of its own row and class (the first slot on a tie; a NaN IoU
+    never matches) and is a hit if that IoU reaches IOU_THRESHOLD. AP is
+    the step-integrated area under each class's PR curve; {class: AP, or
+    None for a class without truth}.
+    """
+    n_gt = np.bincount(gt_class.ravel(), minlength=C + 1)
+    n_gt[C] = 0                           # empty slots, and no AP without truth
     ap = {c: (None if n_gt[c] == 0 else 0.0) for c in range(C)}
-    keep = n_gt[pred_class] > 0          # a class without truth has no AP
-    if not keep.any():
+    flat = np.flatnonzero(n_gt[pred_class] > 0)
+    if not flat.size:
         return ap
-    # ranked by (class, -confidence), ties by index
-    order = np.flatnonzero(keep)
-    conf = np.asarray(pred_conf, dtype=float)[order]
-    order = order[np.lexsort((-conf, pred_class[order]))]
-    cls, samples = pred_class[order], np.asarray(pred_samples)[order]
+    cls = pred_class.ravel()[flat]
+    order = flat[np.lexsort((pred_key.ravel()[flat], -pred_conf.ravel()[flat], cls))]
+    m, S = len(order), pred_class.shape[1]
+    cls, rows = pred_class.ravel()[order], order // S
+    overlap = _iou([v[:, None] for v in _corners(pred_boxes.reshape(-1, 4)[order])],
+                   _corners(gt_boxes[rows]))
+    # a prediction matches only a truth of its own class, never on a NaN IoU
+    overlap = np.where((gt_class[rows] == cls[:, None]) & ~np.isnan(overlap), overlap, -1.0)
 
-    # truths as a (groups, slots) table, one row per (class, sample) with its
-    # truths in insertion order; slots without a truth (all of a
-    # prediction-only group's) hold a unit box and start matched, so they
-    # never win
-    _, sample = np.unique(np.concatenate([gt_samples, samples]), return_inverse=True)
-    groups, group = np.unique(np.concatenate([gt_class, cls]) * (sample.max() + 1) + sample,
-                              return_inverse=True)
-    gt_group, group = group[:len(gt_class)], group[len(gt_class):]
-    slot = _rank_within_group(gt_group)
-    table = np.ones((len(groups), slot.max() + 1, 4))
-    table[gt_group, slot] = gt_boxes
-    matched = np.ones(table.shape[:2], dtype=bool)
-    matched[gt_group, slot] = False
-
-    overlap = iou(np.asarray(pred_boxes, dtype=float)[order, None], table[group])
-    overlap = np.where(np.isnan(overlap), -1.0, overlap)
-    # the k-th prediction of every group matches at once: groups share no truth
-    rank = _rank_within_group(group)
-    tp = np.zeros(len(order))
-    for k in range(rank.max() + 1):
-        rows = np.flatnonzero(rank == k)
-        cand = np.where(matched[group[rows]], -1.0, overlap[rows])
+    # ranked[r, k]: the rank of row r's k-th ranked prediction, m past its
+    # last; the k-th predictions of all rows match at once, as rows share
+    # no truth
+    rank = np.full(pred_class.size, m)
+    rank[order] = np.arange(m)
+    ranked = np.sort(rank.reshape(-1, S), axis=1)
+    overlap = np.concatenate([overlap, np.full((1, overlap.shape[1]), -1.0)])[ranked]
+    matched = np.zeros(gt_class.shape, dtype=bool)
+    tp = np.zeros(m)
+    every_row = np.arange(len(ranked))
+    for k in range(S):
+        cand = np.where(matched, -1.0, overlap[:, k])
         best = cand.argmax(axis=1)
-        hit = cand[np.arange(len(rows)), best] >= IOU_THRESHOLD
-        matched[group[rows[hit]], best[hit]] = True
-        tp[rows[hit]] = 1.0
+        hit = cand[every_row, best] >= IOU_THRESHOLD
+        matched[hit, best[hit]] = True
+        tp[ranked[hit, k]] = 1.0
+
+    # each class's cumulative hits restart at its first rank
     bounds = np.searchsorted(cls, np.arange(C + 1))
+    start = bounds[cls]
+    cum_tp = np.cumsum(tp)
+    cum_tp -= np.concatenate([[0.0], cum_tp])[start]
+    precision = cum_tp / (np.arange(m) - start + 1)
+    recall, prev_recall = cum_tp / n_gt[cls], (cum_tp - tp) / n_gt[cls]
+    terms = (recall - prev_recall) * precision
     for c in range(C):
-        if bounds[c] == bounds[c + 1]:
-            continue
-        cum_tp = np.cumsum(tp[bounds[c]:bounds[c + 1]])
-        precision = cum_tp / np.arange(1, len(cum_tp) + 1)
-        recall = cum_tp / n_gt[c]
-        prev = np.concatenate([[0.0], recall[:-1]])
-        ap[c] = float(np.sum((recall - prev) * precision))
+        if bounds[c] < bounds[c + 1]:
+            ap[c] = float(np.sum(terms[bounds[c]:bounds[c + 1]]))
     return ap
+
+
+def _on_grid(rows: np.ndarray, R: int, columns, fills):
+    """Each (m, ...) column laid out on an (R, S, ...) grid, row i's values
+    in input order and the column's fill in the slots left over."""
+    order = np.argsort(rows, kind="stable")
+    slot = np.empty_like(rows)
+    slot[order] = np.arange(len(rows)) - np.searchsorted(rows[order], rows[order])
+    grids = []
+    for column, fill in zip(columns, fills):
+        grid = np.full((R, slot.max() + 1, *column.shape[1:]), fill, dtype=column.dtype)
+        grid[rows, slot] = column
+        grids.append(grid)
+    return grids
 
 
 def average_precision(pred_samples, pred_conf, pred_boxes, gt_samples, gt_boxes):
@@ -458,22 +481,42 @@ def average_precision(pred_samples, pred_conf, pred_boxes, gt_samples, gt_boxes)
     each prediction takes the highest-IoU unmatched truth of its sample
     (the first truth on a tie; a NaN IoU never matches) and is a hit if
     that IoU reaches IOU_THRESHOLD. AP is the step-integrated area under
-    the PR curve.
+    the PR curve. The lists are laid out on a (sample, slot) grid, each
+    sample's entries in input order, for the matcher of
+    evaluate_per_class_ap.
 
     Returns None when there is no ground truth (AP undefined, never 0).
+    Raises ValueError on a box of non-positive width or height when there
+    are both predictions and truths.
     """
-    return _class_average_precisions(
-        1, np.zeros(len(pred_samples), dtype=np.int64), pred_samples, pred_conf,
-        pred_boxes, np.zeros(len(gt_samples), dtype=np.int64), gt_samples, gt_boxes)[0]
+    if len(gt_samples) == 0:
+        return None
+    if len(pred_samples) == 0:
+        return 0.0
+    pred_boxes = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
+    gt_boxes = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
+    if (pred_boxes[:, 2:] <= 0).any() or (gt_boxes[:, 2:] <= 0).any():
+        raise ValueError("boxes must have positive width and height")
+    samples, row = np.unique(np.concatenate([gt_samples, pred_samples]), return_inverse=True)
+    R, n, m = len(samples), len(gt_boxes), len(pred_boxes)
+    # one class, 0; class 1 marks an empty slot
+    gt_class, gt_grid = _on_grid(row[:n], R, (np.zeros(n, dtype=np.int64), gt_boxes), (1, 0.0))
+    pred_class, conf, boxes, key = _on_grid(
+        row[n:], R, (np.zeros(m, dtype=np.int64), np.asarray(pred_conf, dtype=float),
+                     pred_boxes, np.arange(m)), (1, 0.0, 0.0, 0))
+    return _grid_average_precisions(1, pred_class, conf, boxes, key, gt_class, gt_grid)[0]
 
 
 def evaluate_per_class_ap(weights: DetectorWeights, test: ClientDataset):
-    """Per-class AP of the detector on a test set; None where undefined."""
+    """Per-class AP of the detector on a test set; None where undefined.
+
+    The predictions and truths stay on the test set's (sample, anchor)
+    grid, ranked with ties by the sample-major anchor index; boxes there
+    are valid by construction, so no box check runs.
+    """
     C = weights.shape_params[1]
     probs, pred_class, pred_boxes, objn_p = predict(weights, test.x)
     conf = np.take_along_axis(probs, pred_class[..., None], axis=-1)[..., 0] * objn_p
-    pi, pa = np.nonzero(pred_class < C)  # sample-major, as AP ranks ties
-    ti, ta = np.nonzero(test.classes < C)
-    return _class_average_precisions(C, pred_class[pi, pa], pi, conf[pi, pa],
-                                     pred_boxes[pi, pa], test.classes[ti, ta], ti,
-                                     test.bboxes[ti, ta])
+    key = np.arange(pred_class.size).reshape(pred_class.shape)
+    return _grid_average_precisions(C, pred_class, conf, pred_boxes, key,
+                                    test.classes, test.bboxes)

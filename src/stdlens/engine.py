@@ -34,16 +34,11 @@ __all__ = [
     "PHASES",
     "RoundRecord",
     "RunLog",
-    "PopulationExhaustedError",
     "select_participants",
     "local_update",
     "fedavg_aggregate",
     "run_federation",
 ]
-
-
-class PopulationExhaustedError(RuntimeError):
-    """Fewer than two active clients remain."""
 
 
 # Timed phases of a round, as RoundRecord fields. Participant selection and
@@ -105,7 +100,7 @@ def select_participants(round_idx: int, active_clients, k: float,
     """Uniform draw without replacement of max(2, round(k*|active|)) ids."""
     active = sorted(active_clients)
     if len(active) < 2:
-        raise PopulationExhaustedError("population exhausted: fewer than 2 active clients")
+        raise ValueError("population exhausted: fewer than 2 active clients")
     size = max(2, int(np.floor(k * len(active) + 0.5)))
     size = min(size, len(active))
     rng = make_rng(master_seed, "select", round_idx)

@@ -33,6 +33,7 @@ gate, where forcing it open raises false positives from 6 to 9.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -414,9 +415,10 @@ class WindowedDefense:
     class ids and a block matrix. Each drop rule is one boolean mask over
     the rows: a round other than the one observed, a revoked client, a
     class id out of range, a non-finite block, an entry above
-    MAX_BLOCK_ENTRY in magnitude after `_admit`, and a repeat of an admitted
-    (client, round, class) triple, where the first admitted occurrence
-    wins. `observe_contributions` drops a record before the columns are
+    MAX_BLOCK_ENTRY in magnitude after `_admit`, and a repeated (client,
+    round, class) triple: a triple that two rows of one call share is
+    dropped in every copy, and one met in an earlier call of the window is
+    dropped. `observe_contributions` drops a record before the columns are
     built when its block is not of length `block_dim` (with no `block_dim`,
     the first block fixes it) or when an id is not an int or a numpy integer
     (bools excluded) within int64, so no id is ever truncated into another
@@ -435,7 +437,7 @@ class WindowedDefense:
         self.block_dim = block_dim
         self.revoked: set[int] = set()
         self._chunks: dict[int, list[tuple]] = {c: [] for c in range(num_classes)}
-        self._seen: set[tuple] = set()     # admitted (client, round, class) triples
+        self._seen: set[tuple] = set()     # (client, round, class) triples met
         self._open = 0                     # index of the open window
         self.clients: set[int] = set()     # clients with an admitted contribution
 
@@ -489,11 +491,17 @@ class WindowedDefense:
         admitted = self._admit(blocks[rows])
         fits = np.abs(admitted).max(axis=1, initial=0.0) <= MAX_BLOCK_ENTRY
         rows, admitted = rows[fits], admitted[fits]
-        # `p in seen or seen.add(p)` is falsy once per triple: the first wins
-        seen = self._seen
-        first = np.array([not (p in seen or seen.add(p)) for p in zip(
-            ids[rows].tolist(), rounds[rows].tolist(), class_ids[rows].tolist())], dtype=bool)
-        rows, admitted = rows[first], admitted[first]
+        # a triple met twice in this call is dropped in every copy, so a
+        # copy cannot frame the client it names; one met in an earlier call
+        # of the window stays dropped. A call without either, as every live
+        # round is, skips the count.
+        triples = list(zip(ids[rows].tolist(), rounds[rows].tolist(), class_ids[rows].tolist()))
+        met, seen = set(triples), self._seen
+        if len(met) < len(triples) or not met.isdisjoint(seen):
+            count = Counter(triples)
+            once = np.array([count[p] == 1 and p not in seen for p in triples], dtype=bool)
+            rows, admitted = rows[once], admitted[once]
+        seen |= met
         ids, rounds, class_ids = ids[rows], rounds[rows], class_ids[rows]
         for c in np.unique(class_ids).tolist():
             mine = class_ids == c

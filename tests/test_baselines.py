@@ -143,13 +143,15 @@ def test_malformed_contributions_are_dropped_at_ingestion(make):
                  6: [GradientContribution(5, 6, 0, inf_block)],
                  7: [GradientContribution(2, 7, 99, rng.standard_normal(6))],
                  8: [GradientContribution(6, 8, 0, np.array([1.0, 2.0]))]}
-    # honest client 0 repeats its triple and client 1 sends a block for the
-    # next round, both on the payload
+    # honest client 0 repeats its triple, which drops both copies as if it
+    # had sent nothing, and client 1 sends a block for the next round, both
+    # on the payload
     repeats = [[GradientContribution(cid, rnd, 0,
                                      np.full(6, 20.0) + 0.01 * rng.standard_normal(6))
                 for cid, rnd in ((0, r), (1, r + 1))] for r in range(10)]
     clean, dirty = make(), make()
-    clean_verdicts = [clean.observe_contributions(r, c) for r, c in enumerate(stream)]
+    clean_verdicts = [clean.observe_contributions(r, [g for g in c if g.client_id != 0])
+                      for r, c in enumerate(stream)]
     # each malformed block comes before the honest record of its (client,
     # round, class) triple, so only its own check can keep it out
     dirty_verdicts = [dirty.observe_contributions(r, malformed.get(r, []) + c + repeats[r])

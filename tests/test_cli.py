@@ -254,12 +254,13 @@ def _block(values) -> str:
 
 
 def _record(**fields):
-    """Extra lines: one record of tiny-config shape (a 6*A*d = 120-entry
-    block in the stream encoding) with `fields` set; a field set to ... is
-    left out."""
+    """(extra lines, lines whose verdicts the replay must give): one record
+    of tiny-config shape (a 6*A*d = 120-entry block in the stream encoding)
+    with `fields` set, beside the clean lines; a field set to ... is left
+    out."""
     rec = {"round": 0, "client_id": 0, "class_id": 1, "block": _block([0.5] * 120),
            **fields}
-    return lambda lines: [json.dumps({k: v for k, v in rec.items() if v is not ...})]
+    return lambda lines: ([json.dumps({k: v for k, v in rec.items() if v is not ...})], lines)
 
 
 @pytest.mark.parametrize("extra", [
@@ -277,12 +278,14 @@ def _record(**fields):
     _record(class_id="1"),
     _record(round="0"),
     _record(block=...),
-    lambda lines: ["{not json"],
-    lambda lines: ["[" * 100_000 + "]" * 100_000],
+    lambda lines: (["{not json"], lines),
+    lambda lines: (["[" * 100_000 + "]" * 100_000], lines),
     # a round before the first window must not shift the window boundaries
     _record(round=-1),
-    # honest client 7's records once more: only the first of a triple counts
-    lambda lines: [line for line in lines if json.loads(line)["client_id"] == 7],
+    # honest client 7's records once more: a repeated triple is dropped in
+    # every copy, as if client 7 had sent nothing
+    lambda lines: ([line for line in lines if json.loads(line)["client_id"] == 7],
+                   [line for line in lines if json.loads(line)["client_id"] != 7]),
     # a dropped record must not give an unknown client a verdict
     _record(client_id=999, class_id=10 ** 9),
 ], ids=["huge-class-id", "wrong-length", "one-entry-short", "float-list-block",
@@ -293,14 +296,15 @@ def _record(**fields):
 def test_replay_ignores_hostile_lines(tiny_yaml, tmp_path, extra):
     out = tmp_path / "run"
     _invoke("run", "--config", tiny_yaml, "--out", str(out), "--dump-stream")
-    clean = out / "gradient_stream.jsonl"
-    lines = clean.read_text().splitlines()
-    hostile = tmp_path / "hostile.jsonl"
+    lines = (out / "gradient_stream.jsonl").read_text().splitlines()
+    extra_lines, kept_lines = extra(lines)
+    kept, hostile = tmp_path / "kept.jsonl", tmp_path / "hostile.jsonl"
+    kept.write_text("".join(line + "\n" for line in kept_lines))
     # the extra lines come first, so each precedes any honest record of
     # its (client, round, class) triple and meets its own check
-    hostile.write_text("".join(line + "\n" for line in extra(lines) + lines))
+    hostile.write_text("".join(line + "\n" for line in extra_lines + lines))
     verdicts = []
-    for stream in (clean, hostile):
+    for stream in (kept, hostile):
         rep = tmp_path / stream.stem
         _invoke("replay", "--stream", str(stream), "--config", tiny_yaml,
                 "--out", str(rep))
@@ -356,6 +360,20 @@ print(" ".join(sorted(loaded() - before - {"stdlens"})))
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tiny_yaml, tmp_path):
+    # criterion 10's tiny run in two processes that differ only in the
+    # number of OpenBLAS threads
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from stdlens.cli import main; main()", "run",
+             "--config", tiny_yaml, "--out", str(tmp_path / threads)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+    for name in ("runlog.jsonl", "ap_curves.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_dumped_stream_round_trips_byte_for_byte(tiny_yaml, tmp_path):

@@ -1,20 +1,26 @@
 """Surrogate detection task: IoU, AP, data generation, gradients."""
 
 import dataclasses
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stdlens.detection import (BatchTargets, ClientDataset, DetectorWeights,
-                               _class_average_precisions, _softmax, average_precision,
-                               detector_grad, detector_loss_and_grad,
+from stdlens.config import load_config
+from stdlens.detection import (BatchTargets, ClientDataset, DetectorWeights, _backward,
+                               _forward, _grid_average_precisions, _heads, _softmax,
+                               average_precision, detector_grad, detector_loss_and_grad,
                                evaluate_per_class_ap, generate_client_dataset,
                                generate_client_datasets, generate_federation_data,
                                iou, predict)
-from stdlens.engine import local_update
+from stdlens.engine import local_update, run_federation
+from stdlens.metrics import vary
 from stdlens.seeding import make_rng
+
+CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "class_poison.yaml"
 
 
 # -- IoU ---------------------------------------------------------------------
@@ -194,6 +200,88 @@ def _field(rows, j, dtype, *shape):
     return np.array([r[j] for r in rows], dtype=dtype).reshape(len(rows), *shape)
 
 
+def _on_grid(C, preds, truths):
+    """A multi-class problem on a (sample, slot) grid: each sample's
+    predictions and truths in list order, class C in an empty slot, and a
+    prediction's list index as its tie key."""
+    R = 1 + max([p[1] for p in preds] + [t[1] for t in truths], default=0)
+    S = max(Counter(p[1] for p in preds).values(), default=1)
+    T = max(Counter(t[1] for t in truths).values(), default=1)
+    pc, pconf, pb = np.full((R, S), C), np.zeros((R, S)), np.ones((R, S, 4))
+    key = np.zeros((R, S), dtype=np.int64)
+    tc, tb = np.full((R, T), C), np.ones((R, T, 4))
+    pred_slot, truth_slot = Counter(), Counter()
+    for i, (c, sample, conf, box) in enumerate(preds):
+        j = pred_slot[sample]
+        pred_slot[sample] += 1
+        pc[sample, j], pconf[sample, j], pb[sample, j], key[sample, j] = c, conf, box, i
+    for c, sample, box in truths:
+        j = truth_slot[sample]
+        truth_slot[sample] += 1
+        tc[sample, j], tb[sample, j] = c, box
+    return pc, pconf, pb, key, tc, tb
+
+
+def _rank_within_group(keys: np.ndarray) -> np.ndarray:
+    """Position of each element among the elements with its key, in input order."""
+    order = np.argsort(keys, kind="stable")
+    run_start = np.zeros(len(keys), dtype=np.int64)
+    new = np.flatnonzero(keys[order][1:] != keys[order][:-1]) + 1
+    run_start[new] = new
+    rank = np.empty_like(run_start)
+    rank[order] = np.arange(len(keys)) - np.maximum.accumulate(run_start)
+    return rank
+
+
+def _list_average_precisions(C, pred_class, pred_samples, pred_conf, pred_boxes,
+                             gt_class, gt_samples, gt_boxes):
+    """Oracle: the list-based matcher that the grid matcher replaced.
+
+    It regroups the lists by (class, sample) on every call, through a
+    truth table whose empty slots hold a unit box and start matched; the
+    k-th prediction of every group matches at once. {class: AP or None}.
+    """
+    n_gt = np.bincount(gt_class, minlength=C)
+    ap = {c: (None if n_gt[c] == 0 else 0.0) for c in range(C)}
+    keep = n_gt[pred_class] > 0
+    if not keep.any():
+        return ap
+    order = np.flatnonzero(keep)
+    conf = np.asarray(pred_conf, dtype=float)[order]
+    order = order[np.lexsort((-conf, pred_class[order]))]
+    cls, samples = pred_class[order], np.asarray(pred_samples)[order]
+    _, sample = np.unique(np.concatenate([gt_samples, samples]), return_inverse=True)
+    groups, group = np.unique(np.concatenate([gt_class, cls]) * (sample.max() + 1) + sample,
+                              return_inverse=True)
+    gt_group, group = group[:len(gt_class)], group[len(gt_class):]
+    slot = _rank_within_group(gt_group)
+    table = np.ones((len(groups), slot.max() + 1, 4))
+    table[gt_group, slot] = gt_boxes
+    matched = np.ones(table.shape[:2], dtype=bool)
+    matched[gt_group, slot] = False
+    overlap = iou(np.asarray(pred_boxes, dtype=float)[order, None], table[group])
+    overlap = np.where(np.isnan(overlap), -1.0, overlap)
+    rank = _rank_within_group(group)
+    tp = np.zeros(len(order))
+    for k in range(rank.max() + 1):
+        rows = np.flatnonzero(rank == k)
+        cand = np.where(matched[group[rows]], -1.0, overlap[rows])
+        best = cand.argmax(axis=1)
+        hit = cand[np.arange(len(rows)), best] >= 0.5
+        matched[group[rows[hit]], best[hit]] = True
+        tp[rows[hit]] = 1.0
+    bounds = np.searchsorted(cls, np.arange(C + 1))
+    for c in range(C):
+        if bounds[c] == bounds[c + 1]:
+            continue
+        cum_tp = np.cumsum(tp[bounds[c]:bounds[c + 1]])
+        precision = cum_tp / np.arange(1, len(cum_tp) + 1)
+        recall = cum_tp / n_gt[c]
+        prev = np.concatenate([[0.0], recall[:-1]])
+        ap[c] = float(np.sum((recall - prev) * precision))
+    return ap
+
+
 @settings(max_examples=300, deadline=None)
 @given(_class_match_problems())
 # class 0 ties class 2 on confidence in the same sample; class 1 has a truth
@@ -208,10 +296,73 @@ def test_all_class_matcher_equals_average_precision_per_class(problem):
     tb = _field(truths, 2, float, 4)
     expected = {c: average_precision(ps[pc == c], pconf[pc == c], pb[pc == c],
                                      ts[tc == c], tb[tc == c]) for c in range(C)}
-    assert _class_average_precisions(C, pc, ps, pconf, pb, tc, ts, tb) == expected
+    assert _grid_average_precisions(C, *_on_grid(C, preds, truths)) == expected
     assert expected == {c: _reference_average_precision(
         [p[1:] for p in preds if p[0] == c], [t[1:] for t in truths if t[0] == c])
         for c in range(C)}
+    assert _list_average_precisions(C, pc, ps, pconf, pb, tc, ts, tb) == expected
+
+
+def _oracle_per_class_ap(w, test):
+    """evaluate_per_class_ap through the list-based oracle matcher."""
+    C = w.shape_params[1]
+    probs, pred_class, pred_boxes, objn_p = predict(w, test.x)
+    conf = np.take_along_axis(probs, pred_class[..., None], axis=-1)[..., 0] * objn_p
+    pi, pa = np.nonzero(pred_class < C)
+    ti, ta = np.nonzero(test.classes < C)
+    return _list_average_precisions(C, pred_class[pi, pa], pi, conf[pi, pa],
+                                    pred_boxes[pi, pa], test.classes[ti, ta], ti,
+                                    test.bboxes[ti, ta])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_evaluate_per_class_ap_equals_the_list_matcher_on_canonical_detectors(seed):
+    config = vary(load_config(CANONICAL), seed=seed, defense="none")
+    fed, task = config.federation, config.task
+    C, d, A = task.num_classes, task.feature_dim, task.num_anchors
+    test, _, _ = generate_federation_data(seed, fed.num_clients, C, d, A,
+                                          test_samples=task.test_samples,
+                                          feature_noise=task.feature_noise)
+    detectors = [DetectorWeights.zeros(A, C, d)]
+    for rounds in (3, fed.rounds):          # briefly and fully trained
+        brief = dataclasses.replace(config, federation=dataclasses.replace(fed, rounds=rounds))
+        detectors.append(run_federation(brief, eval_every=rounds)[0])
+    for w in detectors:
+        ap = evaluate_per_class_ap(w, test)
+        assert ap == _oracle_per_class_ap(w, test)
+        assert set(ap) == set(range(C))
+    assert 0.3 < min(ap.values())            # the trained detector has hits
+
+
+@pytest.mark.parametrize("rounded", [False, True], ids=["plain", "rounded"])
+def test_evaluate_per_class_ap_equals_the_list_matcher_on_random_detectors(rounded):
+    A, C, d = 3, 4, 16
+    test, _, _ = generate_federation_data(5, 1, C, d, A, test_samples=120)
+    (train,) = _client_datasets(5, 1, 200, C=C, d=d, A=A)
+    box_head = local_update(train, DetectorWeights.zeros(A, C, d), 40, 1.0).w_bbox
+    tied = repeated = 0
+    for seed in range(12):
+        rng = make_rng(seed, "random-detector")
+        scale = rng.choice([0.3, 1.0, 3.0])
+        w = [scale * rng.standard_normal(s)
+             for s in ((A, C + 1, d), (A, C, 4, d), (A, C, d))]
+        if rounded:
+            # integer class and objectness weights, with anchors whose two
+            # heads read the bias feature alone: each of those predicts one
+            # class at one confidence in every sample. The trained box head
+            # makes some of those tied predictions hit and others miss.
+            w = [np.round(w[0]), box_head, np.round(w[2])]
+            for v in (w[0], w[2]):
+                v[:1 + seed % 2, ..., :-1] = 0.0
+        w = DetectorWeights(*w)
+        assert evaluate_per_class_ap(w, test) == _oracle_per_class_ap(w, test)
+        probs, pred_class, _, objn_p = predict(w, test.x)
+        conf = (np.take_along_axis(probs, pred_class[..., None], axis=-1)[..., 0]
+                * objn_p)[pred_class < C]
+        tied += len(np.unique(conf)) < len(conf)
+        repeated += any(np.bincount(row[row < C]).max(initial=0) > 1 for row in pred_class)
+    if rounded:
+        assert (tied, repeated) == (12, 12)
 
 
 # -- data generation ---------------------------------------------------------
@@ -450,6 +601,56 @@ def test_training_gradient_core_equals_the_loss_gradient(A, C, d):
     stepped = w
     for _ in range(3):
         stepped = stepped.sub(detector_loss_and_grad(stepped, batch)[1].scaled(0.7))
+    assert (local_update(batch, w, 3, 0.7).to_vector().tobytes()
+            == stepped.sub(w).to_vector().tobytes())
+
+
+def _dense_detector_grad(weights, x, targets):
+    """Oracle: detector_grad with each anchor's head row selected by a dense
+    one-hot product, (..., n, A, C, 4) for the boxes, instead of a scatter."""
+    A, C, _ = weights.shape_params
+    norm = 1.0 / (x.shape[-2] * A)
+    probs = _softmax(_forward(x, weights.w_class, (A, C + 1)))
+    g_class = norm * _backward(probs - targets.onehot, x, (A, C + 1))
+    sel = targets.onehot[..., :C]
+    box, z = _heads(weights, x, targets.rows)
+    resid = np.where(targets.fg[..., None], box - targets.boxes, 0.0)
+    g_bbox = norm * _backward(sel[..., None] * resid[..., None, :], x, (A, C, 4))
+    p = 1.0 / (1.0 + np.exp(-z))
+    g_objn = norm * _backward(sel * (p - targets.t)[..., None], x, (A, C))
+    return DetectorWeights(g_class, g_bbox, g_objn), (probs, resid, z)
+
+
+def _relabeled(batch, classes, C):
+    """batch with new classes: objectness and boxes follow the foreground."""
+    fg = classes < C
+    return ClientDataset(batch.x, classes, np.where(fg[..., None], 0.3 + batch.bboxes, 0.0),
+                         fg)
+
+
+@_task_shapes
+@pytest.mark.parametrize("labels", ["mixed", "background", "foreground"])
+def test_scattered_gradient_equals_the_dense_one_hot_gradient(A, C, d, labels):
+    pairs = [_random_pair(seed, n=6, A=A, C=C, d=d) for seed in (70, 71, 72)]
+    batch = ClientDataset.stack([b for _, b in pairs])
+    rng = make_rng(A * C * d, "labels")
+    if labels == "background":
+        batch = _relabeled(batch, np.full_like(batch.classes, C), C)
+    elif labels == "foreground":
+        batch = _relabeled(batch, rng.integers(0, C, size=batch.classes.shape), C)
+    else:  # objectness that disagrees with the foreground, as an objn poison makes
+        batch = dataclasses.replace(batch, objn=rng.random(batch.objn.shape) < 0.5)
+    targets = BatchTargets.of(batch, C)
+    for w in (pairs[0][0], _stack_weights([w for w, _ in pairs])):
+        got, want = detector_grad(w, batch.x, targets), _dense_detector_grad(w, batch.x, targets)
+        assert got[0].to_vector().tobytes() == want[0].to_vector().tobytes()
+        for a, b in zip(got[1], want[1], strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # local training takes the oracle's steps, bit for bit
+    w = pairs[0][0]
+    stepped = w
+    for _ in range(3):
+        stepped = stepped.sub(_dense_detector_grad(stepped, batch.x, targets)[0].scaled(0.7))
     assert (local_update(batch, w, 3, 0.7).to_vector().tobytes()
             == stepped.sub(w).to_vector().tobytes())
 

@@ -11,9 +11,8 @@ from stdlens.attacks import apply_poison, poison_payload
 from stdlens.config import AttackSpec
 from stdlens.detection import (ClientDataset, DetectorWeights, detector_loss_and_grad,
                                generate_client_dataset, generate_federation_data)
-from stdlens.engine import (PopulationExhaustedError, RoundRecord, RunLog,
-                            fedavg_aggregate, local_update, run_federation,
-                            select_participants)
+from stdlens.engine import (RoundRecord, RunLog, fedavg_aggregate, local_update,
+                            run_federation, select_participants)
 from stdlens.metrics import run_experiment
 from stdlens.seeding import make_rng
 from tests.test_detection import _client_datasets, _empty, _random_pair
@@ -96,7 +95,7 @@ def test_selection_varies_by_round():
 
 
 def test_selection_exhausted_population():
-    with pytest.raises(PopulationExhaustedError):
+    with pytest.raises(ValueError):
         select_participants(0, {4}, 0.5, 0)
 
 

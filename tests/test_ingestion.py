@@ -1,7 +1,7 @@
 """Ingestion drops hostile records without a trace: a stream with injected
 malformed (non-integer ids included), repeated, misdated or revoked-client
 records yields the verdicts (and, for stdlens, the watchlist strikes) of the
-same stream without them."""
+same stream without them, and without the records that a repeat copies."""
 
 from dataclasses import replace
 
@@ -102,8 +102,14 @@ def _hostile(kind, original, c, dim, revoked_by):
                            max_size=12))
 def test_hostile_records_change_no_verdict(name, seed, n_honest, dim, injections):
     stream = _honest_stream(seed, n_honest, dim)
+    # a repeated triple is dropped in every copy: expect the verdicts of the
+    # stream without the honest records that a dup repeats
+    repeated = {(r, who % len(stream[r])) for kind, r, who, _, _ in injections
+                if kind == "dup"}
     clean = _make(name, dim)
-    want = [clean.observe_contributions(r, c) for r, c in enumerate(stream)]
+    want = [clean.observe_contributions(r, [g for i, g in enumerate(c)
+                                            if (r, i) not in repeated])
+            for r, c in enumerate(stream)]
     revoked_by = {cid: r for r, (revoked, _) in enumerate(want) for cid in revoked}
 
     dirty_stream = [list(c) for c in stream]
@@ -111,16 +117,11 @@ def test_hostile_records_change_no_verdict(name, seed, n_honest, dim, injections
         if kind == "huge" and name == "stdlens":
             continue
         contribs = dirty_stream[r]
-        original = stream[r][who % len(stream[r])]
-        g = _hostile(kind, original, c, dim, revoked_by)
+        g = _hostile(kind, stream[r][who % len(stream[r])], c, dim, revoked_by)
         if g is None:
             continue
-        # a repeat must come after its original; every other kind goes
         # anywhere, before the honest record of its triple too
-        lo = 0
-        if kind == "dup":
-            lo = 1 + next(i for i, h in enumerate(contribs) if h is original)
-        contribs.insert(lo + where % (len(contribs) - lo + 1), g)
+        contribs.insert(where % (len(contribs) + 1), g)
 
     dirty = _make(name, dim)
     got = [dirty.observe_contributions(r, c) for r, c in enumerate(dirty_stream)]
@@ -130,6 +131,21 @@ def test_hostile_records_change_no_verdict(name, seed, n_honest, dim, injections
     if name.startswith("stdlens"):
         # no honest client collects a strike from a hostile record
         assert dirty.strikes == clean.strikes
+
+
+@pytest.mark.parametrize("name", ["stdlens", "stdlens-raw", "spatial", "spectral"])
+def test_a_copy_placed_first_cannot_frame_the_client_it_names(name):
+    # a payload copy of honest client 3's triples before its own records, in
+    # every round: were the first copy kept, stdlens, stdlens-raw and
+    # spatial would revoke client 3
+    stream = _honest_stream(7, 10, 5)
+    clean, dirty = _make(name, 5), _make(name, 5)
+    for r, contribs in enumerate(stream):
+        framed = [GradientContribution(3, r, c, np.full(5, 6.0)) for c in range(2)]
+        want = clean.observe_contributions(r, [g for g in contribs if g.client_id != 3])
+        assert dirty.observe_contributions(r, framed + contribs) == want
+    assert 3 not in dirty.revoked and dirty.revoked == clean.revoked
+    assert dirty.clients == clean.clients
 
 
 @pytest.mark.parametrize("name", ["stdlens", "spatial", "spectral"])
