@@ -4,8 +4,8 @@ defenses, and empirical separability checks on a surrogate detection task."""
 
 from .config import (AttackSpec, ConfigError, DefenseConfig, ExperimentConfig,
                      FederationConfig, TaskConfig, load_config, validate_config)
-from .detection import (ClientDataset, DetectorWeights, average_precision,
-                        detector_loss_and_grad, generate_federation_data, iou)
+from .detection import (ClientDataset, DetectorWeights, detector_loss_and_grad,
+                        generate_federation_data)
 from .engine import (RunLog, fedavg_aggregate, local_update, run_federation,
                      select_participants)
 from .forensics import (GradientContribution, StdLensDefense,

@@ -9,9 +9,9 @@ geometric footprint that survives averaging.
 Each step works on whole arrays, and the one-hot labels serve as indices:
 a round's client datasets are drawn in one pass; training finds a batch's
 label arrays, foreground anchors and their head rows once, and each epoch
-then scatters the box and objectness errors into those rows; and one
-greedy matcher ranks every class's predictions for average precision on
-the test set's (sample, anchor) grid as it is.
+then scatters the box and objectness errors into those rows; and
+evaluate_per_class_ap, the one AP entry point, ranks every class's
+predictions at once on the test set's (sample, anchor) grid as it is.
 
 Conventions:
   - classes 0..C-1 are foreground, C is background
@@ -38,8 +38,6 @@ __all__ = [
     "detector_grad",
     "detector_loss_and_grad",
     "predict",
-    "iou",
-    "average_precision",
     "evaluate_per_class_ap",
 ]
 
@@ -374,19 +372,6 @@ def predict(weights: DetectorWeights, x: np.ndarray):
     return probs, pred_class, bboxes, objn_p
 
 
-def iou(box_a, box_b):
-    """Intersection-over-union of (cx, cy, w, h) boxes.
-
-    Broadcasts over leading axes of (..., 4) arrays, so two 4-tuples give
-    one float and iou(A[:, None], B[None]) gives every pair.
-    """
-    a = np.asarray(box_a, dtype=float)
-    b = np.asarray(box_b, dtype=float)
-    if (a[..., 2:] <= 0).any() or (b[..., 2:] <= 0).any():
-        raise ValueError("boxes must have positive width and height")
-    return _iou(_corners(a), _corners(b))
-
-
 def _corners(boxes: np.ndarray):
     """(left, top, right, bottom, area) of (..., 4) boxes, each (...)."""
     x, y, w, h = (boxes[..., j] for j in range(4))
@@ -394,24 +379,23 @@ def _corners(boxes: np.ndarray):
 
 
 def _iou(a, b) -> np.ndarray:
-    """iou of two boxes given as _corners, unchecked."""
+    """IoU of boxes given as _corners, broadcast; box sizes are unchecked."""
     ix = np.maximum(0.0, np.minimum(a[2], b[2]) - np.maximum(a[0], b[0]))
     iy = np.maximum(0.0, np.minimum(a[3], b[3]) - np.maximum(a[1], b[1]))
     inter = ix * iy
     return inter / (a[4] + b[4] - inter)
 
 
-def _grid_average_precisions(C, pred_class, pred_conf, pred_boxes, pred_key,
-                             gt_class, gt_boxes):
+def _grid_average_precisions(C, pred_class, pred_conf, pred_boxes, gt_class, gt_boxes):
     """AP of each class 0..C-1 by greedy IoU matching on a (row, slot) grid.
 
     Predictions (R, S) and truths (R, T) share their rows, one per sample,
     and class C marks an empty slot. Predictions rank by (class,
-    -confidence, pred_key); each in turn takes the highest-IoU unmatched
-    truth of its own row and class (the first slot on a tie; a NaN IoU
-    never matches) and is a hit if that IoU reaches IOU_THRESHOLD. AP is
-    the step-integrated area under each class's PR curve; {class: AP, or
-    None for a class without truth}.
+    -confidence), ties in the grid's sample-major order (a stable sort);
+    each in turn takes the highest-IoU unmatched truth of its own row and
+    class (the first slot on a tie; a NaN IoU never matches) and is a hit
+    if that IoU reaches IOU_THRESHOLD. AP is the step-integrated area under
+    each class's PR curve; {class: AP, or None for a class without truth}.
     """
     n_gt = np.bincount(gt_class.ravel(), minlength=C + 1)
     n_gt[C] = 0                           # empty slots, and no AP without truth
@@ -420,7 +404,7 @@ def _grid_average_precisions(C, pred_class, pred_conf, pred_boxes, pred_key,
     if not flat.size:
         return ap
     cls = pred_class.ravel()[flat]
-    order = flat[np.lexsort((pred_key.ravel()[flat], -pred_conf.ravel()[flat], cls))]
+    order = flat[np.lexsort((-pred_conf.ravel()[flat], cls))]
     m, S = len(order), pred_class.shape[1]
     cls, rows = pred_class.ravel()[order], order // S
     overlap = _iou([v[:, None] for v in _corners(pred_boxes.reshape(-1, 4)[order])],
@@ -459,64 +443,14 @@ def _grid_average_precisions(C, pred_class, pred_conf, pred_boxes, pred_key,
     return ap
 
 
-def _on_grid(rows: np.ndarray, R: int, columns, fills):
-    """Each (m, ...) column laid out on an (R, S, ...) grid, row i's values
-    in input order and the column's fill in the slots left over."""
-    order = np.argsort(rows, kind="stable")
-    slot = np.empty_like(rows)
-    slot[order] = np.arange(len(rows)) - np.searchsorted(rows[order], rows[order])
-    grids = []
-    for column, fill in zip(columns, fills):
-        grid = np.full((R, slot.max() + 1, *column.shape[1:]), fill, dtype=column.dtype)
-        grid[rows, slot] = column
-        grids.append(grid)
-    return grids
-
-
-def average_precision(pred_samples, pred_conf, pred_boxes, gt_samples, gt_boxes):
-    """Single-class AP with greedy IoU matching.
-
-    Predictions are (sample id, confidence, (cx, cy, w, h) box) arrays,
-    truths (sample id, box) arrays. Ranked by confidence (ties by index),
-    each prediction takes the highest-IoU unmatched truth of its sample
-    (the first truth on a tie; a NaN IoU never matches) and is a hit if
-    that IoU reaches IOU_THRESHOLD. AP is the step-integrated area under
-    the PR curve. The lists are laid out on a (sample, slot) grid, each
-    sample's entries in input order, for the matcher of
-    evaluate_per_class_ap.
-
-    Returns None when there is no ground truth (AP undefined, never 0).
-    Raises ValueError on a box of non-positive width or height when there
-    are both predictions and truths.
-    """
-    if len(gt_samples) == 0:
-        return None
-    if len(pred_samples) == 0:
-        return 0.0
-    pred_boxes = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
-    gt_boxes = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
-    if (pred_boxes[:, 2:] <= 0).any() or (gt_boxes[:, 2:] <= 0).any():
-        raise ValueError("boxes must have positive width and height")
-    samples, row = np.unique(np.concatenate([gt_samples, pred_samples]), return_inverse=True)
-    R, n, m = len(samples), len(gt_boxes), len(pred_boxes)
-    # one class, 0; class 1 marks an empty slot
-    gt_class, gt_grid = _on_grid(row[:n], R, (np.zeros(n, dtype=np.int64), gt_boxes), (1, 0.0))
-    pred_class, conf, boxes, key = _on_grid(
-        row[n:], R, (np.zeros(m, dtype=np.int64), np.asarray(pred_conf, dtype=float),
-                     pred_boxes, np.arange(m)), (1, 0.0, 0.0, 0))
-    return _grid_average_precisions(1, pred_class, conf, boxes, key, gt_class, gt_grid)[0]
-
-
 def evaluate_per_class_ap(weights: DetectorWeights, test: ClientDataset):
     """Per-class AP of the detector on a test set; None where undefined.
 
     The predictions and truths stay on the test set's (sample, anchor)
-    grid, ranked with ties by the sample-major anchor index; boxes there
-    are valid by construction, so no box check runs.
+    grid, so confidence ties rank in sample-major anchor order; a
+    prediction's confidence is its class probability times its objectness.
     """
     C = weights.shape_params[1]
     probs, pred_class, pred_boxes, objn_p = predict(weights, test.x)
     conf = np.take_along_axis(probs, pred_class[..., None], axis=-1)[..., 0] * objn_p
-    key = np.arange(pred_class.size).reshape(pred_class.shape)
-    return _grid_average_precisions(C, pred_class, conf, pred_boxes, key,
-                                    test.classes, test.bboxes)
+    return _grid_average_precisions(C, pred_class, conf, pred_boxes, test.classes, test.bboxes)

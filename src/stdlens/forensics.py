@@ -389,6 +389,19 @@ def _is_id_type(t: type) -> bool:
     return issubclass(t, (int, np.integer)) and t is not bool
 
 
+def _checked_block(g: GradientContribution) -> Optional[np.ndarray]:
+    """g's block as a float array, or None unless each id of g follows the
+    id rule within int64 and the block converts."""
+    ids = (g.client_id, g.round, g.class_id)
+    if not (all(_is_id_type(type(v)) for v in ids)
+            and _INT64_MIN <= min(ids) and max(ids) <= _INT64_MAX):
+        return None
+    try:
+        return np.asarray(g.block, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return None
+
+
 def _round_columns(contributions, dim: int) -> Optional[tuple]:
     """(client ids, rounds, class ids, blocks) of a round, each built by one
     np.array call, or None unless every id follows the id rule and every
@@ -419,16 +432,16 @@ class WindowedDefense:
     round, class) triple: a triple that two rows of one call share is
     dropped in every copy, and one met in an earlier call of the window is
     dropped. `observe_contributions` drops a record before the columns are
-    built when its block is not of length `block_dim` (with no `block_dim`,
-    the first block fixes it) or when an id is not an int or a numpy integer
-    (bools excluded) within int64, so no id is ever truncated into another
-    client's. A round whose records all pass is built as columns in one
-    step, one `np.array` call per column; any other round is filtered a
-    record at a time, with the same outcome. Each class buffers
-    `(ids, rounds, blocks)` chunks, and each window of `window` rounds,
-    keyed on `round // window`, goes to `_decide` as per-class arrays; it
-    returns (clients to revoke, watchlist events). No client is revoked
-    twice."""
+    built when its block is not a row of `block_dim` floats or when an id is
+    not an int or a numpy integer (bools excluded) within int64, so no id is
+    ever truncated into another client's; with no `block_dim`, the first
+    record of the round with such ids, a class in range and a finite block
+    fixes it. A round whose records all pass is built as columns in one
+    step; any other round is filtered a record at a time, with the same
+    outcome. Each class buffers `(ids, rounds, blocks)` chunks, and each
+    window of `window` rounds, keyed on `round // window`, goes to `_decide`
+    as per-class arrays, none of a revoked client; it returns (clients to
+    revoke, watchlist events). No client is revoked twice."""
 
     def __init__(self, num_classes: int, window: int,
                  block_dim: Optional[int] = None):
@@ -458,18 +471,19 @@ class WindowedDefense:
         a list of GradientContribution."""
         dim = self.block_dim
         if dim is None:
-            dim = next((len(g.block) for g in contributions if np.ndim(g.block) == 1), 0)
+            dim = next((len(b) for g in contributions
+                        if (b := _checked_block(g)) is not None and b.ndim == 1
+                        and np.isfinite(b).all() and g.round == round_idx
+                        and 0 <= g.class_id < self.num_classes), 0)
         columns = _round_columns(contributions, dim)
         if columns is None:
-            rows = [g for g in contributions if np.shape(g.block) == (dim,)
-                    and all(_is_id_type(type(v)) for v in (g.client_id, g.round, g.class_id))
-                    and _INT64_MIN <= min(g.client_id, g.round, g.class_id)
-                    and max(g.client_id, g.round, g.class_id) <= _INT64_MAX]
+            rows = [(g, b) for g in contributions
+                    if (b := _checked_block(g)) is not None and b.shape == (dim,)]
             columns = (
-                np.array([g.client_id for g in rows], dtype=np.int64),
-                np.array([g.round for g in rows], dtype=np.int64),
-                np.array([g.class_id for g in rows], dtype=np.int64),
-                np.array([g.block for g in rows], dtype=float) if rows else np.empty((0, dim)))
+                np.array([g.client_id for g, _ in rows], dtype=np.int64),
+                np.array([g.round for g, _ in rows], dtype=np.int64),
+                np.array([g.class_id for g, _ in rows], dtype=np.int64),
+                np.array([b for _, b in rows]) if rows else np.empty((0, dim)))
         return self._ingest(round_idx, *columns)
 
     def _ingest(self, round_idx: int, ids: np.ndarray, rounds: np.ndarray,
@@ -579,13 +593,13 @@ class StdLensDefense(WindowedDefense):
             to_revoke |= revoked_c
             uncertain_clients |= uncertain_c
 
-        watchlist_events = sorted(uncertain_clients - self.revoked)
+        watchlist_events = sorted(uncertain_clients)
         for cid in watchlist_events:
             self.strikes[cid] = self.strikes.get(cid, 0) + 1
             if self.strikes[cid] >= self.watchlist_threshold:
                 to_revoke.add(cid)
 
-        revocations = sorted(to_revoke - self.revoked)
+        revocations = sorted(to_revoke)
         if revocations:
             # an attacker's blocks in classes its poison does not touch look
             # honest; the outside-the-population-radius requirement inside
@@ -606,7 +620,7 @@ class StdLensDefense(WindowedDefense):
         whole-array bound (`_exemplar_candidates`) rules out almost every
         client first; only the rest take the exact per-client test.
         """
-        watched = list(self.strikes.keys() - self.revoked)
+        watched = list(self.strikes)
         z = CONFIDENCE_TO_Z[self.confidence]
         matches: set[int] = set()
         for c, (ids, _, blocks) in classes.items():

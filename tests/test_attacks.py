@@ -9,9 +9,9 @@ from stdlens import engine
 from stdlens.attacks import (SHRINK_FACTOR, apply_poison, effective_poison_for_round,
                              poison_payload)
 from stdlens.config import AttackSpec
-from stdlens.detection import (ClientDataset, generate_client_dataset,
-                               generate_federation_data, iou)
+from stdlens.detection import ClientDataset, generate_client_dataset, generate_federation_data
 from stdlens.seeding import make_rng
+from tests.test_detection import iou
 
 C, BG = 3, 3  # foreground classes 0..2, background index 3
 

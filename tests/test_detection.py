@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from stdlens.config import load_config
 from stdlens.detection import (BatchTargets, ClientDataset, DetectorWeights, _backward,
-                               _forward, _grid_average_precisions, _heads, _softmax,
-                               average_precision, detector_grad, detector_loss_and_grad,
+                               _corners, _forward, _grid_average_precisions, _heads, _iou,
+                               _softmax, detector_grad, detector_loss_and_grad,
                                evaluate_per_class_ap, generate_client_dataset,
-                               generate_client_datasets, generate_federation_data,
-                               iou, predict)
+                               generate_client_datasets, generate_federation_data, predict)
 from stdlens.engine import local_update, run_federation
 from stdlens.metrics import vary
 from stdlens.seeding import make_rng
@@ -24,6 +23,11 @@ CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "class_poison.yaml
 
 
 # -- IoU ---------------------------------------------------------------------
+
+def iou(a, b):
+    """IoU of (cx, cy, w, h) boxes, broadcast: the matcher's _iou over _corners."""
+    return _iou(_corners(np.asarray(a, dtype=float)), _corners(np.asarray(b, dtype=float)))
+
 
 def test_iou_identical_boxes():
     assert iou((0.5, 0.5, 0.2, 0.3), (0.5, 0.5, 0.2, 0.3)) == pytest.approx(1.0)
@@ -39,15 +43,6 @@ def test_iou_quarter_overlap_corner_boxes():
     a = (0.25, 0.25, 0.5, 0.5)
     b = (0.5, 0.5, 0.5, 0.5)
     assert iou(a, b) == pytest.approx(1.0 / 7.0, rel=1e-12)
-
-
-def test_iou_rejects_degenerate_boxes():
-    with pytest.raises(ValueError):
-        iou((0.5, 0.5, 0.0, 0.1), (0.5, 0.5, 0.1, 0.1))
-    # any degenerate box among broadcast ones, compared or not
-    boxes = np.array([[0.5, 0.5, 0.1, 0.1], [0.5, 0.5, 0.1, -0.1]])
-    with pytest.raises(ValueError):
-        iou(boxes[:, None], boxes[None, :1])
 
 
 def test_iou_contained_box():
@@ -101,10 +96,9 @@ def _reference_average_precision(predictions, ground_truth, iou_threshold=0.5):
 
 
 def _ap_of_lists(predictions, ground_truth):
-    """average_precision on the reference's lists, unzipped into arrays."""
-    ps, pc, pb = (np.array(col) for col in zip(*predictions)) if predictions else ([],) * 3
-    gs, gb = (np.array(col) for col in zip(*ground_truth)) if ground_truth else ([],) * 2
-    return average_precision(ps, pc, pb, gs, gb)
+    """The grid matcher's AP of the reference's lists, as class 0 of one."""
+    return _grid_average_precisions(1, *_on_grid(1, [(0, *p) for p in predictions],
+                                                 [(0, *t) for t in ground_truth]))[0]
 
 
 _NAN_BOX = (float("nan"),) * 4
@@ -119,12 +113,14 @@ _match_boxes = (st.tuples(*[st.sampled_from([0.375, 0.5, 0.625])] * 2,
 def _match_problems(draw):
     # few boxes, confidences and samples, so that boxes coincide, IoUs and
     # confidences tie, a sample holds several predictions, and some samples
-    # hold only predictions or only truths
+    # hold only predictions or only truths; the predictions are stably
+    # sorted by sample, as the grid ranks confidence ties sample-major
     pool = draw(st.lists(_match_boxes, min_size=1, max_size=4))
     box = st.sampled_from(pool) | st.just(_NAN_BOX)
     sample = st.integers(0, 3)
     preds = draw(st.lists(st.tuples(sample, st.sampled_from([0.25, 0.5, 0.75]), box),
                           max_size=12))
+    preds.sort(key=lambda p: p[0])
     truths = draw(st.lists(st.tuples(sample, box), max_size=8))
     return preds, truths
 
@@ -148,35 +144,29 @@ def test_ap_ranked_hit_miss_hit_hit():
     # ranks: TP, FP, TP, TP with 3 ground truths
     # precision at recall steps: 1/1, 2/3, 3/4 -> AP = (1 + 2/3 + 3/4)/3
     box, far = _box(), (0.05, 0.05, 0.05, 0.05)
-    ap = average_precision(np.array([0, 1, 1, 2]), np.array([0.9, 0.8, 0.7, 0.6]),
-                           np.array([box, far, box, box]),
-                           np.array([0, 1, 2]), np.array([box, box, box]))
+    ap = _ap_of_lists([(0, 0.9, box), (1, 0.8, far), (1, 0.7, box), (2, 0.6, box)],
+                      [(0, box), (1, box), (2, box)])
     assert ap == pytest.approx((1.0 + 2.0 / 3.0 + 3.0 / 4.0) / 3.0, rel=1e-12)
     assert ap == pytest.approx(0.805555555, rel=1e-8)
 
 
 def test_ap_perfect_detector():
-    ids, boxes = np.arange(5), np.array([_box()] * 5)
-    assert average_precision(ids, np.full(5, 0.9), boxes, ids, boxes) == pytest.approx(1.0)
+    assert _ap_of_lists([(i, 0.9, _box()) for i in range(5)],
+                        [(i, _box()) for i in range(5)]) == pytest.approx(1.0)
 
 
 def test_ap_no_predictions_is_zero():
-    none = np.zeros(0)
-    assert average_precision(none, none, none.reshape(0, 4),
-                             np.array([0]), np.array([_box()])) == 0.0
+    assert _ap_of_lists([], [(0, _box())]) == 0.0
 
 
 def test_ap_no_ground_truth_is_undefined():
-    none = np.zeros(0)
-    assert average_precision(np.array([0]), np.array([0.9]), np.array([_box()]),
-                             none, none.reshape(0, 4)) is None
-    assert average_precision(none, none, none.reshape(0, 4), none, none.reshape(0, 4)) is None
+    assert _ap_of_lists([(0, 0.9, _box())], []) is None
+    assert _ap_of_lists([], []) is None
 
 
 def test_ap_duplicate_predictions_on_one_truth():
     # second matching prediction of the same truth is a false positive
-    ap = average_precision(np.array([0, 0]), np.array([0.9, 0.8]), np.array([_box()] * 2),
-                           np.array([0]), np.array([_box()]))
+    ap = _ap_of_lists([(0, 0.9, _box()), (0, 0.8, _box())], [(0, _box())])
     # PR points: (1, 1.0) then (1, 0.5); AP = 1.0
     assert ap == pytest.approx(1.0)
 
@@ -191,6 +181,7 @@ def _class_match_problems(draw):
     cls, sample = st.integers(0, C - 1), st.integers(0, 3)
     preds = draw(st.lists(st.tuples(cls, sample, st.sampled_from([0.25, 0.5, 0.75]), box),
                           max_size=16))
+    preds.sort(key=lambda p: p[1])
     truths = draw(st.lists(st.tuples(cls, sample, box), max_size=10))
     return C, preds, truths
 
@@ -202,24 +193,22 @@ def _field(rows, j, dtype, *shape):
 
 def _on_grid(C, preds, truths):
     """A multi-class problem on a (sample, slot) grid: each sample's
-    predictions and truths in list order, class C in an empty slot, and a
-    prediction's list index as its tie key."""
+    predictions and truths in list order, and class C in an empty slot."""
     R = 1 + max([p[1] for p in preds] + [t[1] for t in truths], default=0)
     S = max(Counter(p[1] for p in preds).values(), default=1)
     T = max(Counter(t[1] for t in truths).values(), default=1)
     pc, pconf, pb = np.full((R, S), C), np.zeros((R, S)), np.ones((R, S, 4))
-    key = np.zeros((R, S), dtype=np.int64)
     tc, tb = np.full((R, T), C), np.ones((R, T, 4))
     pred_slot, truth_slot = Counter(), Counter()
-    for i, (c, sample, conf, box) in enumerate(preds):
+    for c, sample, conf, box in preds:
         j = pred_slot[sample]
         pred_slot[sample] += 1
-        pc[sample, j], pconf[sample, j], pb[sample, j], key[sample, j] = c, conf, box, i
+        pc[sample, j], pconf[sample, j], pb[sample, j] = c, conf, box
     for c, sample, box in truths:
         j = truth_slot[sample]
         truth_slot[sample] += 1
         tc[sample, j], tb[sample, j] = c, box
-    return pc, pconf, pb, key, tc, tb
+    return pc, pconf, pb, tc, tb
 
 
 def _rank_within_group(keys: np.ndarray) -> np.ndarray:
@@ -294,12 +283,10 @@ def test_all_class_matcher_equals_average_precision_per_class(problem):
     pb = _field(preds, 3, float, 4)
     tc, ts = (_field(truths, j, np.int64) for j in (0, 1))
     tb = _field(truths, 2, float, 4)
-    expected = {c: average_precision(ps[pc == c], pconf[pc == c], pb[pc == c],
-                                     ts[tc == c], tb[tc == c]) for c in range(C)}
-    assert _grid_average_precisions(C, *_on_grid(C, preds, truths)) == expected
-    assert expected == {c: _reference_average_precision(
+    expected = {c: _reference_average_precision(
         [p[1:] for p in preds if p[0] == c], [t[1:] for t in truths if t[0] == c])
         for c in range(C)}
+    assert _grid_average_precisions(C, *_on_grid(C, preds, truths)) == expected
     assert _list_average_precisions(C, pc, ps, pconf, pb, tc, ts, tb) == expected
 
 

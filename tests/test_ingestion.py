@@ -1,30 +1,47 @@
 """Ingestion drops hostile records without a trace: a stream with injected
-malformed (non-integer ids included), repeated, misdated or revoked-client
-records yields the verdicts (and, for stdlens, the watchlist strikes) of the
-same stream without them, and without the records that a repeat copies."""
+malformed (non-integer ids and non-numeric blocks included), repeated,
+misdated or revoked-client records yields the verdicts (and, for stdlens,
+the watchlist strikes) of the same stream without them, and without the
+records that a repeat copies. No window that stdlens decides holds a
+revoked client."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stdlens import metrics
 from stdlens.baselines import SpatialClusterDefense, SpectralSignatureDefense
+from stdlens.config import load_config
 from stdlens.forensics import GradientContribution, StdLensDefense
+from stdlens.robust import random_premise_mixture, synth_two_population_stream
+from stdlens.seeding import make_rng
 
+CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "class_poison.yaml"
 WINDOW = 5
 ROUNDS = 15
 ATTACKER = 99
 
 
+class _CheckedStdLens(StdLensDefense):
+    """StdLensDefense that asserts that no window it decides holds a revoked
+    client, the invariant that lets _decide skip revoked-client checks."""
+
+    def _decide(self, classes):
+        assert all(self.revoked.isdisjoint(ids.tolist()) for ids, _, _ in classes.values())
+        return super()._decide(classes)
+
+
 def _make(name: str, dim: int):
     if name == "stdlens":
-        return StdLensDefense(num_classes=2, window=WINDOW, omega=1, confidence=0.99,
-                              block_dim=dim)
+        return _CheckedStdLens(num_classes=2, window=WINDOW, omega=1, confidence=0.99,
+                               block_dim=dim)
     if name == "stdlens-raw":
-        return StdLensDefense(num_classes=2, window=WINDOW, omega=1, confidence=0.99,
-                              normalize_blocks=False, block_dim=dim)
+        return _CheckedStdLens(num_classes=2, window=WINDOW, omega=1, confidence=0.99,
+                               normalize_blocks=False, block_dim=dim)
     if name == "spatial":
         return SpatialClusterDefense(num_classes=2, window=WINDOW, block_dim=dim)
     return SpectralSignatureDefense(num_classes=2, window=WINDOW, removal_fraction=0.1,
@@ -50,7 +67,7 @@ def _honest_stream(seed: int, n_honest: int, dim: int):
 # each kind makes one record that one drop rule removes; the entry bound
 # is no drop rule for stdlens with unit-norm admission, which rescales it
 KINDS = ["nan", "inf", "huge", "short", "long", "class", "dup", "late", "revoked",
-         "float-id", "bool-id"]
+         "float-id", "bool-id", "text", "ragged"]
 
 
 def _hostile(kind, original, c, dim, revoked_by):
@@ -68,6 +85,10 @@ def _hostile(kind, original, c, dim, revoked_by):
         block = block[:-1]
     elif kind == "long":
         block = np.append(block, 6.0)
+    elif kind == "text":
+        block = ["x"] * dim
+    elif kind == "ragged":
+        block = [[6.0]] * (dim - 1) + [[6.0, 6.0]]
     elif kind == "class":
         c = 2 if cid % 2 else -1
     elif kind == "dup":
@@ -187,6 +208,53 @@ def test_without_block_dim_the_first_block_fixes_the_length():
            for r, c in enumerate(stream)]
     assert got == want
     assert dirty.block_dim == 5
+
+
+def _criterion6_trial0():
+    """Criterion 6's trial-0 attacked stream (block dim 6) and its attackers."""
+    rng = make_rng(1234, "acc-stream", 0)
+    mix = random_premise_mixture(rng, int(rng.integers(4, 17)), 0.2)
+    stream, roles = synth_two_population_stream(mix, 50, 30, int(rng.integers(0, 2 ** 32)))
+    return stream, {c for c, role in roles.items() if role == "malicious"}
+
+
+# a 3-entry record placed first in round 0; ingestion drops each but `valid`
+SHORT_FIRST = {
+    "nan": dict(block=np.array([np.nan, 1.0, 1.0])),
+    "class": dict(class_id=5),
+    "late": dict(round=7),
+    "text": dict(block=["x"] * 3),
+    "valid": dict(),
+}
+
+
+@pytest.mark.parametrize("kind", [
+    "nan", "class", "late", "text",
+    pytest.param("valid", marks=pytest.mark.xfail(strict=True, reason=(
+        "an admissible short first record still fixes the length; closing this needs "
+        "block_dim required, which means porting perfbench/workloads.py (ROADMAP item 3)")))])
+def test_a_short_first_record_does_not_fix_the_length(kind):
+    stream, attackers = _criterion6_trial0()
+
+    def defense():
+        return _CheckedStdLens(num_classes=1, window=10, omega=1, confidence=0.99,
+                               normalize_blocks=False)
+
+    clean, dirty = defense(), defense()
+    want = [clean.observe_contributions(c[0].round, c) for c in stream]
+    short = replace(GradientContribution(0, 0, 0, np.ones(3)), **SHORT_FIRST[kind])
+    got = [dirty.observe_contributions(c[0].round, ([short] if r == 0 else []) + c)
+           for r, c in enumerate(stream)]
+    assert clean.revoked == attackers and len(attackers) == 10
+    assert dirty.block_dim == 6 and len(dirty.clients) == 50
+    assert got == want
+
+
+def test_a_live_window_never_holds_a_revoked_client(monkeypatch):
+    monkeypatch.setattr(metrics, "StdLensDefense", _CheckedStdLens)
+    config = metrics.vary(load_config(CANONICAL), seed=1, defense="stdlens")
+    _, _, score = metrics.run_experiment(config, eval_every=config.federation.rounds)
+    assert score.true_positives > 0      # later windows ran with clients revoked
 
 
 @pytest.mark.parametrize("bad", [1.5, True, np.float64(1.0)], ids=repr)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stdlens.attacks import apply_poison
-from stdlens.detection import ClientDataset, DetectorWeights, iou
+from stdlens.detection import ClientDataset, DetectorWeights
 from stdlens.engine import fedavg_aggregate, run_federation
 from stdlens.config import AttackSpec, CONFIDENCE_TO_Z
 from stdlens.forensics import (GradientContribution, round_class_blocks,
@@ -19,6 +19,7 @@ from stdlens.metrics import build_defense, vary
 from stdlens.replay import replay_stream
 from stdlens.seeding import derive_seed
 from tests.conftest import make_tiny_config
+from tests.test_detection import iou
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
