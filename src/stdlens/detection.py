@@ -106,10 +106,6 @@ class DetectorWeights:
         A, Cp1, d = self.w_class.shape[-3:]
         return A, Cp1 - 1, d
 
-    def __getitem__(self, i) -> "DetectorWeights":
-        """Model i of a stack, as a view."""
-        return DetectorWeights(self.w_class[i], self.w_bbox[i], self.w_objn[i])
-
     def scaled(self, a: float) -> "DetectorWeights":
         return DetectorWeights(a * self.w_class, a * self.w_bbox, a * self.w_objn)
 

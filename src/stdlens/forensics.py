@@ -402,10 +402,11 @@ def _checked_block(g: GradientContribution) -> Optional[np.ndarray]:
         return None
 
 
-def _round_columns(contributions, dim: int) -> Optional[tuple]:
+def _round_columns(contributions, dim: Optional[int]) -> Optional[tuple]:
     """(client ids, rounds, class ids, blocks) of a round, each built by one
     np.array call, or None unless every id follows the id rule and every
-    column comes out int64 and the blocks as one (n, dim) matrix."""
+    column comes out int64 and the blocks as one (n, dim) matrix, or with
+    no `dim` one of any width >= 2. No row is judged here."""
     columns = ([g.client_id for g in contributions], [g.round for g in contributions],
                [g.class_id for g in contributions])
     if not all(map(_is_id_type, set(map(type, itertools.chain(*columns))))):
@@ -415,7 +416,8 @@ def _round_columns(contributions, dim: int) -> Optional[tuple]:
         blocks = np.array([g.block for g in contributions], dtype=float)
     except (ValueError, TypeError, OverflowError):
         return None
-    if (blocks.shape != (len(contributions), dim)
+    width = dim or blocks.shape[-1]
+    if (blocks.shape != (len(contributions), width) or width < 2
             or not ids.dtype == rounds.dtype == class_ids.dtype == np.int64):
         return None
     return ids, rounds, class_ids, blocks
@@ -425,26 +427,30 @@ class WindowedDefense:
     """Ingestion shell shared by every windowed defense.
 
     Both hooks feed one `_ingest` of a round as columns: client ids, rounds,
-    class ids and a block matrix. Each drop rule is one boolean mask over
-    the rows: a round other than the one observed, a revoked client, a
-    class id out of range, a non-finite block, an entry above
-    MAX_BLOCK_ENTRY in magnitude after `_admit`, and a repeated (client,
-    round, class) triple: a triple that two rows of one call share is
-    dropped in every copy, and one met in an earlier call of the window is
-    dropped. `observe_contributions` drops a record before the columns are
-    built when its block is not a row of `block_dim` floats or when an id is
-    not an int or a numpy integer (bools excluded) within int64, so no id is
-    ever truncated into another client's; with no `block_dim`, the first
-    record of the round with such ids, a class in range and a finite block
-    fixes it. A round whose records all pass is built as columns in one
-    step; any other round is filtered a record at a time, with the same
-    outcome. Each class buffers `(ids, rounds, blocks)` chunks, and each
-    window of `window` rounds, keyed on `round // window`, goes to `_decide`
-    as per-class arrays, none of a revoked client; it returns (clients to
-    revoke, watchlist events). No client is revoked twice."""
+    class ids and a block matrix. `_ingest` alone admits a row; each drop
+    rule is one boolean mask: a round other than the one observed, a
+    revoked client, a class id out of range, a non-finite block, a length
+    other than `block_dim` (if unset, the first call with a row that passes
+    the masks before it fixes it), an entry above MAX_BLOCK_ENTRY in
+    magnitude after `_admit`, and a repeated (client, round, class) triple:
+    a triple that two rows of one call share is dropped in every copy, and
+    one met in an earlier call of the window is dropped.
+    `observe_contributions` builds a round whose blocks form one matrix of
+    width `block_dim` (if unset, any width >= 2) as columns in one step and
+    filters any other round a record at a time. It keeps a record whose ids
+    are ints or numpy integers (bools excluded) within int64, so no id is
+    truncated into another client's, and whose block is a row of
+    `block_dim` floats or, if unset, of the length that most such rows of
+    at least 2 entries share, the longer on a tie. Each class buffers
+    `(ids, rounds, blocks)` chunks, and each window of `window` rounds,
+    keyed on `round // window`, goes to `_decide` as per-class arrays, none
+    of a revoked client; it returns (clients to revoke, watchlist events).
+    No client is revoked twice."""
 
     def __init__(self, num_classes: int, window: int,
                  block_dim: Optional[int] = None):
+        if block_dim is not None and block_dim < 2:
+            raise ValueError("block_dim must be >= 2")
         self.num_classes = num_classes
         self.window = window
         self.block_dim = block_dim
@@ -469,16 +475,13 @@ class WindowedDefense:
                               ) -> tuple[list[int], list[int]]:
         """Replay-mode hook: consume the contributions of round `round_idx`,
         a list of GradientContribution."""
-        dim = self.block_dim
-        if dim is None:
-            dim = next((len(b) for g in contributions
-                        if (b := _checked_block(g)) is not None and b.ndim == 1
-                        and np.isfinite(b).all() and g.round == round_idx
-                        and 0 <= g.class_id < self.num_classes), 0)
-        columns = _round_columns(contributions, dim)
+        columns = _round_columns(contributions, self.block_dim)
         if columns is None:
-            rows = [(g, b) for g in contributions
-                    if (b := _checked_block(g)) is not None and b.shape == (dim,)]
+            checked = [(g, b) for g in contributions
+                       if (b := _checked_block(g)) is not None and b.ndim == 1 and len(b) >= 2]
+            lengths = Counter(len(b) for _, b in checked)
+            dim = self.block_dim or max(lengths, key=lambda n: (lengths[n], n), default=0)
+            rows = [(g, b) for g, b in checked if len(b) == dim]
             columns = (
                 np.array([g.client_id for g, _ in rows], dtype=np.int64),
                 np.array([g.round for g, _ in rows], dtype=np.int64),
@@ -495,13 +498,13 @@ class WindowedDefense:
             return [], []
         verdicts = self.window_step() if index > self._open else ([], [])
         self._open = index
-        if self.block_dim is None and len(blocks):
-            self.block_dim = blocks.shape[1]
         revoked = np.fromiter(map(self.revoked.__contains__, ids.tolist()), bool, len(ids))
         keep = ((rounds == round_idx) & ~revoked
                 & (class_ids >= 0) & (class_ids < self.num_classes)
-                & np.isfinite(blocks).all(axis=1) & (blocks.shape[1] == self.block_dim))
-        rows = np.flatnonzero(keep)
+                & np.isfinite(blocks).all(axis=1))
+        if self.block_dim is None and keep.any():
+            self.block_dim = blocks.shape[1]
+        rows = np.flatnonzero(keep & (blocks.shape[1] == self.block_dim))
         admitted = self._admit(blocks[rows])
         fits = np.abs(admitted).max(axis=1, initial=0.0) <= MAX_BLOCK_ENTRY
         rows, admitted = rows[fits], admitted[fits]

@@ -462,13 +462,13 @@ def test_a_stack_maps_to_its_models_vectors_and_back(P, A, C, d, reverse, seed):
                             rng.standard_normal((P, A, C, 4, d)),
                             rng.standard_normal((P, A, C, d)))
     if reverse:  # a view with a negative stride on the stack axis
-        stack = stack[::-1]
+        stack = _model(stack, slice(None, None, -1))
     vecs = stack.to_vector()
-    per_model = [stack[i].to_vector() for i in range(P)]
+    per_model = [_model(stack, i).to_vector() for i in range(P)]
     assert vecs.shape == (P, A * (C + 1) * d + A * C * 4 * d + A * C * d)
     assert vecs.tobytes() == np.stack(per_model).tobytes()
     for back, want in ((DetectorWeights.from_vector(vecs, A, C, d), stack),
-                       *((DetectorWeights.from_vector(v, A, C, d), stack[i])
+                       *((DetectorWeights.from_vector(v, A, C, d), _model(stack, i))
                          for i, v in enumerate(per_model))):
         for f in ("w_class", "w_bbox", "w_objn"):
             got, ref = getattr(back, f), getattr(want, f)
@@ -642,6 +642,11 @@ def test_scattered_gradient_equals_the_dense_one_hot_gradient(A, C, d, labels):
             == stepped.sub(w).to_vector().tobytes())
 
 
+def _model(stack, i):
+    """Model i of a stack of weights (any index of the stack axis), as a view."""
+    return DetectorWeights(stack.w_class[i], stack.w_bbox[i], stack.w_objn[i])
+
+
 def _stack_weights(ws):
     return DetectorWeights(np.stack([w.w_class for w in ws]),
                            np.stack([w.w_bbox for w in ws]),
@@ -659,7 +664,7 @@ def test_stacked_call_matches_per_client_calls(A, C, d):
     for i, (w, b) in enumerate(pairs):
         loss, grad = detector_loss_and_grad(w, b)
         assert abs(losses[i] - loss) <= 1e-12
-        assert np.abs(grads[i].to_vector() - grad.to_vector()).max() <= 1e-12
+        assert np.abs(grads.to_vector()[i] - grad.to_vector()).max() <= 1e-12
     # shared (unstacked) weights broadcast over the clients, as in a round's
     # first step
     w0 = pairs[0][0]
@@ -667,7 +672,7 @@ def test_stacked_call_matches_per_client_calls(A, C, d):
     for i, (_, b) in enumerate(pairs):
         loss, grad = detector_loss_and_grad(w0, b)
         assert abs(losses[i] - loss) <= 1e-12
-        assert np.abs(grads[i].to_vector() - grad.to_vector()).max() <= 1e-12
+        assert np.abs(grads.to_vector()[i] - grad.to_vector()).max() <= 1e-12
 
 
 def test_stacked_gradient_matches_finite_differences():

@@ -43,7 +43,7 @@ def test_fedavg_identical_updates_fixed_point():
 
 def test_fedavg_single_update_identity():
     stack = _constant_stack([1.7])
-    assert np.allclose(fedavg_aggregate(stack, [9]).to_vector(), stack[0].to_vector())
+    assert np.allclose(fedavg_aggregate(stack, [9]).to_vector(), stack.to_vector()[0])
 
 
 def test_fedavg_rejects_empty():
@@ -127,7 +127,7 @@ def test_stacked_round_matches_per_client_updates():
     vecs = []
     for i, ds in enumerate(datasets):
         delta = local_update(ds, w, epochs=3, learning_rate=0.5)
-        assert np.abs(deltas[i].to_vector() - delta.to_vector()).max() <= 1e-12
+        assert np.abs(deltas.to_vector()[i] - delta.to_vector()).max() <= 1e-12
         vecs.append(delta.to_vector())
     counts = [len(ds) for ds in datasets]
     per_client = DetectorWeights.from_vector(np.stack(vecs), 2, 3, 8)

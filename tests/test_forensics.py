@@ -12,6 +12,7 @@ from stdlens.forensics import (GradientContribution, StdLensDefense, cluster_2d,
                                spatial_project, temporal_signature,
                                trajectory_signatures, two_means_1d, unit_norm)
 from stdlens.seeding import make_rng
+from tests.test_detection import _model
 
 
 # -- gradient block extraction ----------------------------------------------
@@ -58,8 +59,9 @@ def test_round_gather_equals_per_class_extraction(P, A, C, d, seed):
     blocks = round_class_blocks(stack)
     assert blocks.shape == (P, C, 6 * A * d)
     for i in range(P):
+        model = _model(stack, i)
         for c in range(C):
-            assert blocks[i, c].tobytes() == extract_class_gradient_block(stack[i], c).tobytes()
+            assert blocks[i, c].tobytes() == extract_class_gradient_block(model, c).tobytes()
 
 
 def test_block_rejects_bad_class():

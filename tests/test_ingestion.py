@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from stdlens import metrics
@@ -114,7 +114,10 @@ def _hostile(kind, original, c, dim, revoked_by):
 
 
 @pytest.mark.parametrize("name", ["stdlens", "stdlens-raw", "spatial", "spectral"])
-@settings(max_examples=25, deadline=None)
+# no shrink phase: a failing run reports its first falsifying example
+# instead of minimising 12-injection examples over four defenses
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(seed=st.integers(0, 2 ** 32 - 1), n_honest=st.integers(8, 12),
        dim=st.integers(3, 7),
        injections=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, ROUNDS - 1),
@@ -199,7 +202,8 @@ def test_ids_beyond_int64_are_dropped():
     assert dirty.clients == clean.clients
 
 
-def test_without_block_dim_the_first_block_fixes_the_length():
+def test_without_block_dim_a_trailing_short_record_cannot_set_the_length():
+    # one 3-entry record after the round's 5-entry ones, in every round
     stream = _honest_stream(5, 10, 5)
     clean = StdLensDefense(num_classes=2, window=WINDOW, omega=1, confidence=0.99)
     dirty = StdLensDefense(num_classes=2, window=WINDOW, omega=1, confidence=0.99)
@@ -210,6 +214,41 @@ def test_without_block_dim_the_first_block_fixes_the_length():
     assert dirty.block_dim == 5
 
 
+@pytest.mark.parametrize("name", ["stdlens", "stdlens-raw", "spatial", "spectral"])
+def test_one_entry_blocks_never_set_the_length(name):
+    # four 1-entry records before the honest 6-entry ones in rounds 0-3; a
+    # length of 1 would make spatial_project raise at the first window close
+    stream = _honest_stream(8, 20, 6)
+    clean, dirty = _make(name, 6), _make(name, None)
+    want = [clean.observe_contributions(r, c) for r, c in enumerate(stream)]
+    got = [dirty.observe_contributions(r, [GradientContribution(cid, r, 0, np.full(1, 6.0))
+                                           for cid in range(100, 104) if r < 4] + c)
+           for r, c in enumerate(stream)]
+    assert got == want
+    assert dirty.block_dim == 6 and dirty.clients == clean.clients
+
+
+@pytest.mark.parametrize("name", ["stdlens", "stdlens-raw", "spatial", "spectral"])
+def test_a_block_length_below_2_is_refused(name):
+    with pytest.raises(ValueError, match="block_dim"):
+        _make(name, 1)
+
+
+@pytest.mark.parametrize("n3, n4, want", [(3, 3, 4), (4, 2, 3)])
+def test_the_length_does_not_depend_on_record_order(n3, n4, want):
+    # n3 3-entry and n4 4-entry records; the longer length wins a tie
+    rng = np.random.default_rng(9)
+    records = [GradientContribution(cid, 0, 0, rng.standard_normal(3 + (cid >= n3)))
+               for cid in range(n3 + n4)]
+    admitted = []
+    for order in (records, records[::-1]):
+        defense = StdLensDefense(num_classes=1, window=2, omega=1, confidence=0.99)
+        defense.observe_contributions(0, order)
+        admitted.append((defense.block_dim, defense.clients))
+    kept = {g.client_id for g in records if len(g.block) == want}
+    assert admitted == [(want, kept)] * 2
+
+
 def _criterion6_trial0():
     """Criterion 6's trial-0 attacked stream (block dim 6) and its attackers."""
     rng = make_rng(1234, "acc-stream", 0)
@@ -218,21 +257,23 @@ def _criterion6_trial0():
     return stream, {c for c, role in roles.items() if role == "malicious"}
 
 
-# a 3-entry record placed first in round 0; ingestion drops each but `valid`
+def _short(**fields):
+    return replace(GradientContribution(0, 0, 0, np.ones(3)), **fields)
+
+
+# 3-entry records placed first in round 0: ingestion drops the hostile
+# ones, and the round's fifty 6-entry records outvote the valid ones
 SHORT_FIRST = {
-    "nan": dict(block=np.array([np.nan, 1.0, 1.0])),
-    "class": dict(class_id=5),
-    "late": dict(round=7),
-    "text": dict(block=["x"] * 3),
-    "valid": dict(),
+    "nan": [_short(block=np.array([np.nan, 1.0, 1.0]))],
+    "class": [_short(class_id=5)],
+    "late": [_short(round=7)],
+    "text": [_short(block=["x"] * 3)],
+    "valid": [_short()],
+    "five-valid": [_short(client_id=cid) for cid in range(100, 105)],
 }
 
 
-@pytest.mark.parametrize("kind", [
-    "nan", "class", "late", "text",
-    pytest.param("valid", marks=pytest.mark.xfail(strict=True, reason=(
-        "an admissible short first record still fixes the length; closing this needs "
-        "block_dim required, which means porting perfbench/workloads.py (ROADMAP item 3)")))])
+@pytest.mark.parametrize("kind", SHORT_FIRST)
 def test_a_short_first_record_does_not_fix_the_length(kind):
     stream, attackers = _criterion6_trial0()
 
@@ -242,8 +283,7 @@ def test_a_short_first_record_does_not_fix_the_length(kind):
 
     clean, dirty = defense(), defense()
     want = [clean.observe_contributions(c[0].round, c) for c in stream]
-    short = replace(GradientContribution(0, 0, 0, np.ones(3)), **SHORT_FIRST[kind])
-    got = [dirty.observe_contributions(c[0].round, ([short] if r == 0 else []) + c)
+    got = [dirty.observe_contributions(c[0].round, (SHORT_FIRST[kind] if r == 0 else []) + c)
            for r, c in enumerate(stream)]
     assert clean.revoked == attackers and len(attackers) == 10
     assert dirty.block_dim == 6 and len(dirty.clients) == 50

@@ -17,6 +17,7 @@ from stdlens.forensics import GradientContribution, extract_class_gradient_block
 from stdlens.metrics import build_defense, run_experiment, vary
 from stdlens.replay import _write_records, read_stream, stream_dump_hook
 from tests.conftest import make_tiny_config
+from tests.test_detection import _model
 
 CANONICAL = Path(__file__).resolve().parents[1] / "configs" / "class_poison.yaml"
 
@@ -78,7 +79,7 @@ def test_a_dumped_canonical_stream_matches_the_reference(tmp_path):
         dump(round_idx, client_ids, deltas)
         reference.append(_reference_records(
             GradientContribution(cid, round_idx, c,
-                                 extract_class_gradient_block(deltas[i], c))
+                                 extract_class_gradient_block(_model(deltas, i), c))
             for i, cid in enumerate(client_ids) for c in range(num_classes)))
 
     try:
