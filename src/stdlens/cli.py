@@ -177,14 +177,14 @@ def verify_stats(seed, trials, samples, out):
 def replay(stream_path, config_path, defense, out):
     """Offline forensics on a dumped gradient stream."""
     cfg = _load(config_path, None, defense)
-    stream = read_stream(stream_path)
-    if not stream:
-        raise click.ClickException(f"{stream_path}: no usable stream record")
     # the stream is untrusted: the defense is sized by the config, and
     # ingestion drops contributions with a class id outside it
     d = build_defense(cfg)
     if d is None:
         raise click.ClickException("replay needs a defense other than 'none'")
+    stream = read_stream(stream_path)
+    if not stream:
+        raise click.ClickException(f"{stream_path}: no usable stream record")
     events, verdicts = replay_stream(d, stream)
     if not d.clients:
         raise click.ClickException(

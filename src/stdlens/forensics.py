@@ -345,12 +345,18 @@ def _exemplar_candidates(ids: np.ndarray, blocks: np.ndarray, on_list: np.ndarra
     `gap` = 8n*eps*S/n_rest (eps = 2u) bounds |c - c'| with room to spare.
     By the triangle inequality |e - c| <= |e - c'| + gap, so a row p with
     |p - e| >= factor*(|e - c'| + gap) for every exemplar e fails the exact
-    test. Each computed norm is within a relative (dim + 4)*u of its true
-    value, which the factor (1 + `rel`) covers with room to spare. A client
-    stays a candidate iff each of its rows passes for some exemplar and
-    n_rest >= 3, the rows a confidence radius needs.
+    test. Its norms are within a relative (dim + 4)*u of their true values,
+    which the factor (1 + `rel`) covers with room to spare. Here all squared
+    distances, of rows and centers to exemplars, come from one product as
+    |x|^2 + |e|^2 - 2 x.e, within (dim + 2)*u*(|x| + |e|)^2 of |x - e|^2 by
+    the bound above: `err` adds rel*(|x| + |e|)^2, and dim*tiny (tiny the
+    least normal) for gradual underflow in either test's squares, so an
+    underflowed square keeps its client. Admitted entries are at most
+    MAX_BLOCK_ENTRY: no square overflows. A client stays a candidate iff
+    each of its rows passes for some exemplar and n_rest >= 3, the rows a
+    confidence radius needs.
     """
-    eps = np.finfo(float).eps
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     n, dim = blocks.shape
     clients, inverse = np.unique(ids, return_inverse=True)
     off = ~on_list
@@ -359,12 +365,14 @@ def _exemplar_candidates(ids: np.ndarray, blocks: np.ndarray, on_list: np.ndarra
     valid = n_rest >= 3
     n_rest = np.maximum(n_rest, 1)
     center = (blocks[off].sum(axis=0) - own @ blocks) / n_rest[:, None]
-    gap = 8 * n * eps * np.linalg.norm(blocks[off], axis=1).sum() / n_rest
     rel = 4 * (dim + 4) * eps
-    near = np.zeros(n, dtype=bool)
-    for e in exemplars:
-        limit = factor * (1 + rel) * (np.linalg.norm(center - e, axis=1) + gap)
-        near |= np.linalg.norm(blocks - e, axis=1) < limit[inverse]
+    x, e = np.concatenate([blocks, center]), np.array(exemplars)
+    x2, e2 = np.vecdot(x, x), np.vecdot(e, e)
+    sq = x2[:, None] + e2 - 2 * (x @ e.T)                         # |x - e|^2 within err
+    err = rel * (np.sqrt(x2)[:, None] + np.sqrt(e2)) ** 2 + dim * tiny
+    gap = 8 * n * eps * np.sqrt(x2[:n][off]).sum() / n_rest
+    limit = factor * (1 + rel) * (np.sqrt(np.maximum(sq[n:] + err[n:], 0)) + gap[:, None])
+    near = (sq[:n] - err[:n] < limit[inverse] ** 2).any(axis=1)
     far = np.bincount(inverse[~near], minlength=len(clients))
     return clients[valid & (far == 0)].tolist()
 

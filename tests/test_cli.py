@@ -344,6 +344,19 @@ def test_replay_with_a_config_no_record_fits_is_an_error(tiny_yaml, tmp_path):
     assert not (rep / "verdicts.json").exists()
 
 
+def test_replay_refuses_defense_none_before_reading_the_stream(tiny_yaml, tmp_path):
+    # an empty stream would fail the read; the defense is checked first, so
+    # no stream is read for a replay that cannot run
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text("")
+    rep = tmp_path / "rep"
+    result = CliRunner().invoke(main, ["replay", "--stream", str(stream), "--config",
+                                       tiny_yaml, "--defense", "none", "--out", str(rep)])
+    assert result.exit_code == 1
+    assert result.output == "Error: replay needs a defense other than 'none'\n"
+    assert not (rep / "verdicts.json").exists()
+
+
 def test_import_loads_no_package_beyond_the_declared_dependencies():
     # a heavy transitive import (such as a scientific stack beside numpy)
     # costs every process its import time and resident memory

@@ -52,22 +52,29 @@ def _reference_matches(defense, classes) -> set:
     return matches
 
 
-def _class_window(rng, dim, n_honest, n_attackers, rows, n_exemplars, ulps, watch):
+def _class_window(rng, dim, n_honest, n_attackers, rows, n_exemplars, ulps, watch,
+                  scale=1.0, shift=0.0):
     """One class: honest noise rows, attacker rows near a payload, exemplars
     around it, and a client whose rows sit on the 0.75 boundary of one
-    exemplar, `ulps` relative steps of 2**-52 from it. Returns the class's
-    (ids, rounds, blocks), its exemplars and its watchlisted ids."""
+    exemplar, `ulps` relative steps of 2**-52 from it. Every row and
+    exemplar is `scale` times the unit-scale draw, moved by a common offset
+    of norm `shift * scale`. Returns the class's (ids, rounds, blocks), its
+    exemplars and its watchlisted ids."""
     payload = rng.standard_normal(dim)
-    payload *= 30.0 / np.linalg.norm(payload)
-    exemplars = [payload + 0.5 * rng.standard_normal(dim) for _ in range(n_exemplars)]
+    payload *= 30.0 * scale / np.linalg.norm(payload)
+    offset = rng.standard_normal(dim) if shift else np.zeros(dim)
+    offset *= shift * scale / max(np.linalg.norm(offset), 1.0)
+    payload += offset
+    exemplars = [payload + 0.5 * scale * rng.standard_normal(dim)
+                 for _ in range(n_exemplars)]
     ids, blocks = [], []
     for r in range(rows):
         for cid in HONEST_IDS[:n_honest]:
             ids.append(cid)
-            blocks.append(rng.standard_normal(dim))
+            blocks.append(offset + scale * rng.standard_normal(dim))
         for cid in ATTACKER_IDS[:n_attackers]:
             ids.append(cid)
-            blocks.append(payload + 0.3 * rng.standard_normal(dim))
+            blocks.append(payload + 0.3 * scale * rng.standard_normal(dim))
     ids, blocks = np.array(ids), np.array(blocks)
     watched = {cid for cid in [*ids.tolist(), BOUNDARY_ID] if watch[cid % len(watch)]}
     # the boundary client's rows are not in its own rest, so its center is
@@ -85,6 +92,19 @@ def _class_window(rng, dim, n_honest, n_attackers, rows, n_exemplars, ulps, watc
     return (ids, np.zeros(len(ids), dtype=int), blocks), exemplars, watched
 
 
+def _check_window(seed, n_classes, dim, n_honest, n_attackers, rows, n_exemplars, ulps,
+                  watch, scale=1.0, shift=0.0):
+    rng = np.random.default_rng(seed)
+    defense = StdLensDefense(num_classes=n_classes, window=10, omega=1, confidence=0.99)
+    classes = {}
+    for c in range(n_classes):
+        classes[c], defense._exemplars[c], watched = _class_window(
+            rng, dim, n_honest, n_attackers, rows, n_exemplars, ulps, watch, scale, shift)
+        for cid in watched:
+            defense.strikes[cid] = 1
+    assert defense._exemplar_matches(classes) == _reference_matches(defense, classes)
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_classes=st.integers(1, 2),
        dim=st.integers(2, 12), n_honest=st.integers(1, 30), n_attackers=st.integers(0, 3),
@@ -95,15 +115,25 @@ def _class_window(rng, dim, n_honest, n_attackers, rows, n_exemplars, ulps, watc
 def test_exemplar_matches_equal_the_per_client_loop(seed, n_classes, dim, n_honest,
                                                     n_attackers, rows, n_exemplars,
                                                     ulps, watch):
-    rng = np.random.default_rng(seed)
-    defense = StdLensDefense(num_classes=n_classes, window=10, omega=1, confidence=0.99)
-    classes = {}
-    for c in range(n_classes):
-        classes[c], defense._exemplars[c], watched = _class_window(
-            rng, dim, n_honest, n_attackers, rows, n_exemplars, ulps, watch)
-        for cid in watched:
-            defense.strikes[cid] = 1
-    assert defense._exemplar_matches(classes) == _reference_matches(defense, classes)
+    _check_window(seed, n_classes, dim, n_honest, n_attackers, rows, n_exemplars, ulps,
+                  watch)
+
+
+# the live block length, where the prefilter's products round most, and
+# the window scaled near the smallest squares that stay normal, to squares
+# that underflow and near MAX_BLOCK_ENTRY (1e100), or moved far from the
+# origin, which makes the products' cancellation large; the boundary client
+# sits 4 ulps inside or outside
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_honest=st.integers(3, 30),
+       n_attackers=st.integers(0, 3), rows=st.integers(1, 3), n_exemplars=st.integers(1, 3),
+       ulps=st.sampled_from([-4, 4]), scale=st.sampled_from([1.0, 1e-150, 1e-160, 1e95]),
+       shift=st.sampled_from([0.0, 1e5]), watch=st.lists(st.booleans(), min_size=1,
+                                                        max_size=3))
+def test_exemplar_matches_equal_the_loop_at_the_live_length_and_extreme_scales(
+        seed, n_honest, n_attackers, rows, n_exemplars, ulps, scale, shift, watch):
+    _check_window(seed, 1, 288, n_honest, n_attackers, rows, n_exemplars, ulps, watch,
+                  scale, shift)
 
 
 def test_attackers_and_an_inside_boundary_client_match():

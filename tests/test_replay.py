@@ -1,16 +1,20 @@
 """Stream records: the writer's bytes against the sorted-key reference, the
-reader's blocks bit for bit against the written ones, the dump hook's
+reader's blocks bit for bit against the written ones, the reader's records
+against a per-line json.loads reference on hostile lines, the dump hook's
 blocks against the per-class extraction, and a live defense's verdicts
 against those of the records it was dumped."""
 
 import base64
 import io
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from stdlens import replay
 from stdlens.config import load_config
 from stdlens.engine import run_federation
 from stdlens.forensics import GradientContribution, extract_class_gradient_block
@@ -48,9 +52,9 @@ def _contributions(block):
 @BLOCKS
 def test_record_bytes_match_the_sorted_key_reference(block):
     contributions = _contributions(block)
-    fh = io.StringIO()
+    fh = io.BytesIO()
     _write_records(fh, contributions)
-    assert fh.getvalue() == _reference_records(contributions)
+    assert fh.getvalue() == _reference_records(contributions).encode()
 
 
 @BLOCKS
@@ -59,13 +63,98 @@ def test_blocks_read_back_bit_for_bit(block, payload_nan, tmp_path):
     if payload_nan:  # a quiet NaN whose payload is not the default one
         block = np.append(block, np.array([0x7FF8000000000001], np.uint64).view(float))
     path = tmp_path / "stream.jsonl"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         _write_records(fh, _contributions(block))
     back = [g for contribs in read_stream(path) for g in contribs]
     expected = np.asarray(block, dtype=float).tobytes()
     assert [(g.round, g.client_id, g.class_id) for g in back] == [(3, 0, 1), (17, 4, 2)]
     assert all(g.block.dtype == np.float64 and g.block.tobytes() == expected
                for g in back)
+
+
+def _reference_read(path):
+    """Reference: the reader as one json.loads per line, as (client, round,
+    class, block bytes) per kept record, grouped by round."""
+    by_round = {}
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                rec = json.loads(line)
+                ids = rec["round"], rec["client_id"], rec["class_id"]
+                block = np.frombuffer(base64.b64decode(rec["block"], validate=True),
+                                      "<f8").astype(float)
+            except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+                continue
+            if all(type(v) is int for v in ids):
+                by_round.setdefault(ids[0], []).append((ids[1], ids[0], ids[2],
+                                                        block.tobytes()))
+    return [by_round[r] for r in sorted(by_round)]
+
+
+B64 = base64.b64encode(np.array([0.25, -1e300, 7.0]).tobytes())      # 32 characters, unpadded
+
+
+def _line(block=B64, class_id=b"1", client_id=b"2", round_=b"3", end=b"\n"):
+    return (b'{"block": "%s", "class_id": %s, "client_id": %s, "round": %s}%s'
+            % (block, class_id, client_id, round_, end))
+
+
+# (line, whether the reader takes it without json.loads)
+HOSTILE = pytest.mark.parametrize("line,fast", [
+    (_line(class_id=b'"1"'), False),
+    (_line(client_id=b"1.0"), False),
+    (_line(round_=b"true"), False),
+    (_line(class_id=b"01"), False),
+    (_line(client_id=b"-0"), True),
+    (_line(round_=b"%d" % 2 ** 63), True),
+    (_line(client_id=b"%d" % (-2 ** 63 - 1)), True),
+    # past the digit limit int() has from Python 3.10.7 on, on both paths
+    (_line(round_=b"9" * 5000), not hasattr(sys, "set_int_max_str_digits")),
+    (_line(block=b"\\u0041" + B64[1:]), False),
+    (_line(block=b"\\/" + B64[1:]), False),
+    (_line(block=B64[:4] + b'\\"' + B64[4:]), False),
+    (_line(block=B64[:4] + "\u00e9".encode() + B64[4:]), False),
+    (_line(block=B64[:4] + b"\xff" + B64[4:]), False),
+    (_line(block=base64.b64encode(bytes(959))), False),
+    (_line(block=base64.b64encode(bytes(961))), False),
+    (_line(block=b""), True),
+    (_line(block=B64[:4] + b"=" + B64[5:]), False),
+    (_line(block=B64 + b"=="), True),      # strict base64 allows excess padding
+    (_line(end=b"\r\n"), False),
+    (_line(end=b"   \n"), False),
+    (b" " + _line(), False),
+    (_line(round_=b'3, "round": 4'), False),
+    (_line(block=b"A" * 12 + b'", "block": "' + B64), False),
+    (_line(end=b""), True),
+], ids=["string-id", "float-id", "bool-id", "leading-zero-id", "minus-zero-id",
+        "2**63-id", "-2**63-1-id", "5000-digit-id", "escaped-letter", "escaped-slash",
+        "escaped-quote", "non-ascii-character", "non-utf8-byte", "959-bytes", "961-bytes",
+        "empty-block", "padding-inside", "excess-padding", "crlf-ending", "trailing-spaces",
+        "leading-space", "repeated-round", "repeated-block", "no-final-newline"])
+
+
+@HOSTILE
+def test_the_reader_keeps_what_json_loads_keeps_line_by_line(line, fast, tmp_path,
+                                                             monkeypatch):
+    # a canonical line first, then the hostile one (last in the file, so a
+    # line without a newline is the file's end)
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(_line(class_id=b"0", client_id=b"5", round_=b"3") + line)
+    expected = _reference_read(path)
+    calls = []
+
+    def counting_loads(text):
+        calls.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(replay, "json", SimpleNamespace(loads=counting_loads))
+    stream = read_stream(path)
+    assert calls == ([] if fast else [line])
+    assert [[(g.client_id, g.round, g.class_id, g.block.tobytes()) for g in contribs]
+            for contribs in stream] == expected
+    assert all(type(v) is int and g.block.dtype == np.float64
+               for contribs in stream for g in contribs
+               for v in (g.client_id, g.round, g.class_id))
 
 
 def test_a_dumped_canonical_stream_matches_the_reference(tmp_path):
