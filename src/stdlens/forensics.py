@@ -65,7 +65,6 @@ SEPARATION_THRESHOLD = 2.0  # least SSC1 2-means separation score that flags a c
 TEMPORAL_CONTRAST = 0.5     # most suspicious/benign temporal-signature ratio that
                             # revokes outright (a weaker contrast only watchlists)
 MAX_BLOCK_ENTRY = 1e100     # larger admitted entries could overflow a covariance
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 @dataclass(slots=True)
@@ -397,36 +396,23 @@ def _is_id_type(t: type) -> bool:
     return issubclass(t, (int, np.integer)) and t is not bool
 
 
-def _checked_block(g: GradientContribution) -> Optional[np.ndarray]:
-    """g's block as a float array, or None unless each id of g follows the
-    id rule within int64 and the block converts."""
-    ids = (g.client_id, g.round, g.class_id)
-    if not (all(_is_id_type(type(v)) for v in ids)
-            and _INT64_MIN <= min(ids) and max(ids) <= _INT64_MAX):
-        return None
-    try:
-        return np.asarray(g.block, dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        return None
-
-
 def _round_columns(contributions, dim: Optional[int]) -> Optional[tuple]:
     """(client ids, rounds, class ids, blocks) of a round, each built by one
-    np.array call, or None unless every id follows the id rule and every
-    column comes out int64 and the blocks as one (n, dim) matrix, or with
-    no `dim` one of any width >= 2. No row is judged here."""
+    np.array call, or None unless every id follows the id rule within
+    int64 (a larger one overflows the int64 build) and the blocks form one
+    (n, dim) matrix, or with no `dim` one of any width >= 2. No row is
+    judged here."""
     columns = ([g.client_id for g in contributions], [g.round for g in contributions],
                [g.class_id for g in contributions])
     if not all(map(_is_id_type, set(map(type, itertools.chain(*columns))))):
         return None
     try:
-        ids, rounds, class_ids = map(np.array, columns)
+        ids, rounds, class_ids = (np.array(col, dtype=np.int64) for col in columns)
         blocks = np.array([g.block for g in contributions], dtype=float)
     except (ValueError, TypeError, OverflowError):
         return None
     width = dim or blocks.shape[-1]
-    if (blocks.shape != (len(contributions), width) or width < 2
-            or not ids.dtype == rounds.dtype == class_ids.dtype == np.int64):
+    if blocks.shape != (len(contributions), width) or width < 2:
         return None
     return ids, rounds, class_ids, blocks
 
@@ -443,13 +429,13 @@ class WindowedDefense:
     magnitude after `_admit`, and a repeated (client, round, class) triple:
     a triple that two rows of one call share is dropped in every copy, and
     one met in an earlier call of the window is dropped.
-    `observe_contributions` builds a round whose blocks form one matrix of
-    width `block_dim` (if unset, any width >= 2) as columns in one step and
-    filters any other round a record at a time. It keeps a record whose ids
-    are ints or numpy integers (bools excluded) within int64, so no id is
-    truncated into another client's, and whose block is a row of
-    `block_dim` floats or, if unset, of the length that most such rows of
-    at least 2 entries share, the longer on a tie. Each class buffers
+    `observe_contributions` builds a round as columns with one
+    `_round_columns` call, and a round that does not build with one call
+    per record, so one rule judges both. A record is kept if its ids are
+    ints or numpy integers (bools excluded) within int64, so no id is
+    truncated into another client's, and its block is a row of `block_dim`
+    floats or, if unset, of the length that most such rows of at least 2
+    entries share, the longer on a tie. Each class buffers
     `(ids, rounds, blocks)` chunks, and each window of `window` rounds,
     keyed on `round // window`, goes to `_decide` as per-class arrays, none
     of a revoked client; it returns (clients to revoke, watchlist events).
@@ -485,16 +471,12 @@ class WindowedDefense:
         a list of GradientContribution."""
         columns = _round_columns(contributions, self.block_dim)
         if columns is None:
-            checked = [(g, b) for g in contributions
-                       if (b := _checked_block(g)) is not None and b.ndim == 1 and len(b) >= 2]
-            lengths = Counter(len(b) for _, b in checked)
+            checked = [c for g in contributions if (c := _round_columns([g], None)) is not None]
+            lengths = Counter(c[3].shape[1] for c in checked)
             dim = self.block_dim or max(lengths, key=lambda n: (lengths[n], n), default=0)
-            rows = [(g, b) for g, b in checked if len(b) == dim]
-            columns = (
-                np.array([g.client_id for g, _ in rows], dtype=np.int64),
-                np.array([g.round for g, _ in rows], dtype=np.int64),
-                np.array([g.class_id for g, _ in rows], dtype=np.int64),
-                np.array([b for _, b in rows]) if rows else np.empty((0, dim)))
+            empty = (*[np.empty(0, np.int64)] * 3, np.empty((0, dim)))
+            columns = tuple(map(np.concatenate, zip(
+                empty, *(c for c in checked if c[3].shape[1] == dim))))
         return self._ingest(round_idx, *columns)
 
     def _ingest(self, round_idx: int, ids: np.ndarray, rounds: np.ndarray,

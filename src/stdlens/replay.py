@@ -5,16 +5,15 @@ appended and flushed round by round, so a crashed run's finished rounds
 stay readable. A record is the sorted-key JSON object
 {"block": B, "class_id": c, "client_id": i, "round": r}, where B is the
 base64 text of the block's little-endian float64 bytes, so a block reads
-back bit for bit. The reader takes a line of the writer's exact shape
-without a JSON parse, and keeps the records json.loads would keep. This
-module replays such a file through a defense without any federated
-training, emitting the same verdicts the live run would have produced.
+back bit for bit. The reader parses no JSON: it keeps a line of the
+writer's exact shape and drops any other. This module replays such a file
+through a defense without any federated training, emitting the same
+verdicts the live run would have produced.
 """
 
 from __future__ import annotations
 
 import base64
-import json
 import re
 
 import numpy as np
@@ -58,42 +57,27 @@ def write_contributions(path, stream) -> None:
             _write_records(fh, round_contribs)
 
 
-def _record(line: bytes):
-    """(round, client id, class id, block bytes) of a line. json.loads reads
-    any line but one of the writer's exact shape whose block decodes to
-    whole float64 values: strict base64, its body's only reader, admits no
-    quote, backslash or non-ASCII byte, so json.loads would read that body."""
-    end = line.find(b'"', len(_HEAD)) if line.startswith(_HEAD) else -1
-    if end >= 0 and (tail := _TAIL.fullmatch(line, end)):
-        try:
-            raw = base64.b64decode(line[len(_HEAD):end], validate=True)
-            if len(raw) % 8 == 0:
-                return int(tail[3]), int(tail[2]), int(tail[1]), raw
-        except ValueError:          # the json.loads path drops this line too
-            pass
-    rec = json.loads(line)
-    return (rec["round"], rec["client_id"], rec["class_id"],
-            base64.b64decode(rec["block"], validate=True))
-
-
 def read_stream(path):
     """Load a dumped stream, grouped by round in ascending order. The file
-    is untrusted: only a JSON object whose `round`, `client_id` and
-    `class_id` are ints (not bools) and whose `block` is a string of
-    strict base64 decoding to a whole number of float64 values is kept;
-    any other line is dropped. `_record` reads a line of the writer's exact
-    shape without json.loads and any other with it: the same records pass."""
+    is untrusted, and only a line of the writer's exact shape is kept:
+    `_HEAD`, a strict base64 body that decodes to whole float64 values,
+    then `_TAIL`, whose ids are JSON integers. Any other line is dropped,
+    JSON that the writer never produces included: an escape, a repeated
+    key, a CRLF ending or extra spaces."""
     by_round: dict[int, list] = {}
     with open(path, "rb", buffering=1 << 16) as fh:   # ~20 records a read, not ~3
         for line in fh:
-            try:
-                *ids, raw = _record(line)
-                block = np.frombuffer(raw, "<f8").astype(float)
-            except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+            end = line.find(b'"', len(_HEAD)) if line.startswith(_HEAD) else -1
+            if end < 0 or not (tail := _TAIL.fullmatch(line, end)):
                 continue
-            if all(type(v) is int for v in ids):
-                g = GradientContribution(ids[1], ids[0], ids[2], block)
-                by_round.setdefault(g.round, []).append(g)
+            try:
+                raw = base64.b64decode(line[len(_HEAD):end], validate=True)
+                rnd, cid, cls = int(tail[3]), int(tail[2]), int(tail[1])
+            except ValueError:      # bad base64, or an id past int()'s digit limit
+                continue
+            if len(raw) % 8 == 0:
+                block = np.frombuffer(raw, "<f8").astype(float)
+                by_round.setdefault(rnd, []).append(GradientContribution(cid, rnd, cls, block))
     return [by_round[r] for r in sorted(by_round)]
 
 

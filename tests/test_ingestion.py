@@ -314,15 +314,23 @@ def test_a_non_integer_client_id_takes_no_client_slot(bad):
     assert np.array_equal(blocks, want_blocks)
 
 
-# Rounds that are odd throughout: the per-record filter takes them (the
-# list blocks excepted), and each keeps just what the rules keep record by
-# record.
+# Odd rounds, each keeping just what the rules keep record by record. List
+# blocks and ids of any integer type within int64 build in one step (the id
+# columns are built as int64); 2-D blocks, a bool id and a uint64 id beyond
+# int64 send the round to the per-record filter.
 ODD_ROUNDS = {
     "two-dim-blocks": (lambda g: [replace(g, block=g.block[None])], lambda g: []),
     "list-blocks": (lambda g: [replace(g, block=g.block.tolist())], lambda g: [g]),
     "int32-ids": (lambda g: [replace(g, client_id=np.int32(g.client_id),
                                      round=np.int32(g.round),
                                      class_id=np.int32(g.class_id))], lambda g: [g]),
+    "uint64-ids": (lambda g: [replace(g, client_id=np.uint64(g.client_id),
+                                      round=np.uint64(g.round),
+                                      class_id=np.uint64(g.class_id))], lambda g: [g]),
+    "uint64-beyond-int64": (lambda g: [replace(g, client_id=np.uint64(2 ** 63 + g.client_id))],
+                            lambda g: []),
+    "mixed-integer-types": (lambda g: [replace(g, client_id=(int, np.int64, np.uint64)[
+        g.client_id % 3](g.client_id))], lambda g: [g]),
     "int-and-bool-ids": (lambda g: [replace(g, client_id=True), g], lambda g: [g]),
 }
 

@@ -1,4 +1,5 @@
-"""Every public name has a caller outside the tests.
+"""Every public name has a caller outside the tests, and every private
+module-level name is read in the package.
 
 A name in a `stdlens` module's `__all__` passes when some module of the
 package other than `__init__.py` refers to it as an identifier (a name, an
@@ -13,6 +14,10 @@ The benchmark alone keeps `detector_loss_and_grad`,
 `synth_two_population_stream` public: no run or CLI command calls them.
 Once the benchmark traces the paths that runs take (ROADMAP item 1), this
 test names them.
+
+A module-level function, class or constant whose name starts with one
+underscore passes when some module of the package reads it, so a helper
+that a refactor leaves without a caller is deleted with it.
 """
 
 import ast
@@ -27,10 +32,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _identifiers(path: Path) -> set[str]:
-    """The names, attribute names and imported names that a module uses."""
+    """The names a module reads, and the attribute names and imported names
+    it uses."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -50,3 +56,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     orphans = [f"{module}.{name}" for module, name in public
                if name not in used and name not in traced]
     assert not orphans, f"public names that only the tests call: {orphans}"
+
+
+def _private_definitions(path: Path) -> set[str]:
+    """The module-level functions, classes and assigned constants of a
+    module whose names start with one underscore (dunders excluded)."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            found.update(n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return {name for name in found if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_name_is_read_in_the_package():
+    modules = sorted(PACKAGE.glob("*.py"))
+    used = set().union(*map(_identifiers, modules))
+    private = [(p.stem, name) for p in modules for name in _private_definitions(p)]
+    assert private
+    orphans = [f"{module}.{name}" for module, name in private if name not in used]
+    assert not orphans, f"private names that the package never reads: {orphans}"

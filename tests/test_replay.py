@@ -1,25 +1,27 @@
 """Stream records: the writer's bytes against the sorted-key reference, the
-reader's blocks bit for bit against the written ones, the reader's records
-against a per-line json.loads reference on hostile lines, the dump hook's
-blocks against the per-class extraction, and a live defense's verdicts
-against those of the records it was dumped."""
+reader's blocks bit for bit against the written ones, the reader on hostile
+lines (only lines of the writer's shape, with the fields a per-line
+json.loads reference reads from them), the dump hook's blocks against the
+per-class extraction, and a live defense's verdicts against those of the
+records it was dumped, read back from a clean file, from one with hostile
+lines added, and with every block nudged by 1e-10 of itself."""
 
 import base64
+import dataclasses
 import io
 import json
+import re
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from stdlens import replay
 from stdlens.config import load_config
 from stdlens.engine import run_federation
 from stdlens.forensics import GradientContribution, extract_class_gradient_block
 from stdlens.metrics import build_defense, run_experiment, vary
-from stdlens.replay import _write_records, read_stream, stream_dump_hook
+from stdlens.replay import _write_records, read_stream, replay_stream, stream_dump_hook
 from tests.conftest import make_tiny_config
 from tests.test_detection import _model
 
@@ -91,6 +93,12 @@ def _reference_read(path):
     return [by_round[r] for r in sorted(by_round)]
 
 
+def _fields(stream):
+    """(client, round, class, block bytes) of each record, grouped by round."""
+    return [[(g.client_id, g.round, g.class_id, g.block.tobytes()) for g in contribs]
+            for contribs in stream]
+
+
 B64 = base64.b64encode(np.array([0.25, -1e300, 7.0]).tobytes())      # 32 characters, unpadded
 
 
@@ -99,8 +107,8 @@ def _line(block=B64, class_id=b"1", client_id=b"2", round_=b"3", end=b"\n"):
             % (block, class_id, client_id, round_, end))
 
 
-# (line, whether the reader takes it without json.loads)
-HOSTILE = pytest.mark.parametrize("line,fast", [
+# (line, whether the reader keeps it: only a line of the writer's shape)
+HOSTILE = pytest.mark.parametrize("line,kept", [
     (_line(class_id=b'"1"'), False),
     (_line(client_id=b"1.0"), False),
     (_line(round_=b"true"), False),
@@ -108,7 +116,7 @@ HOSTILE = pytest.mark.parametrize("line,fast", [
     (_line(client_id=b"-0"), True),
     (_line(round_=b"%d" % 2 ** 63), True),
     (_line(client_id=b"%d" % (-2 ** 63 - 1)), True),
-    # past the digit limit int() has from Python 3.10.7 on, on both paths
+    # past the digit limit int() has from Python 3.10.7 on
     (_line(round_=b"9" * 5000), not hasattr(sys, "set_int_max_str_digits")),
     (_line(block=b"\\u0041" + B64[1:]), False),
     (_line(block=b"\\/" + B64[1:]), False),
@@ -134,27 +142,69 @@ HOSTILE = pytest.mark.parametrize("line,fast", [
 
 
 @HOSTILE
-def test_the_reader_keeps_what_json_loads_keeps_line_by_line(line, fast, tmp_path,
-                                                             monkeypatch):
+def test_the_reader_keeps_what_json_loads_keeps_line_by_line(line, kept, tmp_path):
     # a canonical line first, then the hostile one (last in the file, so a
-    # line without a newline is the file's end)
+    # line without a newline is the file's end). A line not of the writer's
+    # shape is dropped, json.loads form or not; json.loads is the oracle for
+    # the fields of a kept line.
+    canonical = _line(class_id=b"0", client_id=b"5", round_=b"3")
     path = tmp_path / "stream.jsonl"
-    path.write_bytes(_line(class_id=b"0", client_id=b"5", round_=b"3") + line)
+    path.write_bytes(canonical + (line if kept else b""))
     expected = _reference_read(path)
-    calls = []
-
-    def counting_loads(text):
-        calls.append(text)
-        return json.loads(text)
-
-    monkeypatch.setattr(replay, "json", SimpleNamespace(loads=counting_loads))
+    path.write_bytes(canonical + line)
     stream = read_stream(path)
-    assert calls == ([] if fast else [line])
-    assert [[(g.client_id, g.round, g.class_id, g.block.tobytes()) for g in contribs]
-            for contribs in stream] == expected
+    assert _fields(stream) == expected
     assert all(type(v) is int and g.block.dtype == np.float64
                for contribs in stream for g in contribs
                for v in (g.client_id, g.round, g.class_id))
+
+
+def _json_variants(line: bytes) -> list[bytes]:
+    """Copies of a written line that json.loads reads as the same record,
+    each in a JSON form the writer never produces: an escaped letter, an
+    escaped slash, a CRLF ending, trailing spaces, a leading space, and a
+    repeated round or block key whose first copy differs (json.loads keeps
+    the last)."""
+    n = len(b'{"block": "')
+    escaped_slash = line.replace(b"/", b"\\/", 1)
+    assert escaped_slash != line
+    return [line[:n] + b"\\u%04x" % line[n] + line[n + 1:], escaped_slash,
+            line[:-1] + b"\r\n", line[:-1] + b"   \n", b" " + line,
+            re.sub(rb'"round": (\d+)}', rb'"round": 0, "round": \1}', line),
+            b'{"block": "%s", ' % base64.b64encode(bytes(16)) + line[1:]]
+
+
+MALFORMED = [b"\n", b"not a record\n", b"{}\n", b"\xff\xfe\n", b'{"block": "\n',
+             b'{"block": "AAAAAAAAAAA=", "class_id": 0}\n']
+
+
+def _dump_live(cfg, path):
+    """A live run of `cfg` with its defense, its stream dumped to `path`;
+    returns the live defense and the run log."""
+    live = build_defense(cfg)
+    dump = stream_dump_hook(path, cfg.task.num_classes)
+    try:
+        _, log = run_federation(cfg, live, stream_hook=dump, eval_every=cfg.federation.rounds)
+    finally:
+        dump.close()
+    return live, log
+
+
+@pytest.mark.parametrize("defense", ["stdlens", "spatial", "spectral"])
+def test_hostile_lines_in_a_dumped_file_change_no_record_and_no_verdict(defense, tmp_path):
+    cfg = vary(make_tiny_config(), defense=defense)
+    clean = tmp_path / "clean.jsonl"
+    live, log = _dump_live(cfg, clean)
+    lines = clean.read_bytes().splitlines(keepends=True)
+    dirty = tmp_path / "dirty.jsonl"
+    dirty.write_bytes(b"".join(MALFORMED + [b"".join(_json_variants(line)) + line + line[:99]
+                                            + b"\n" for line in lines] + MALFORMED))
+    stream = read_stream(dirty)
+    assert _fields(stream) == _fields(read_stream(clean))
+    events, verdicts = replay_stream(build_defense(cfg), stream)
+    assert events == [(rec.round, cid) for rec in log.records for cid in rec.revocations]
+    assert verdicts == {cid: "revoked" if cid in live.revoked else "active"
+                        for cid in sorted(live.clients)}
 
 
 def test_a_dumped_canonical_stream_matches_the_reference(tmp_path):
@@ -193,14 +243,9 @@ def test_live_rounds_and_their_dumped_records_get_the_same_verdicts(seed, defens
     # one defense sees the live rounds through observe_round, a second the
     # dumped records read back, through observe_contributions
     cfg = vary(make_tiny_config(), defense=defense, seed=seed)
-    live, replayed = build_defense(cfg), build_defense(cfg)
     path = tmp_path / "stream.jsonl"
-    dump = stream_dump_hook(path, cfg.task.num_classes)
-    try:
-        _, log = run_federation(cfg, live, stream_hook=dump,
-                                eval_every=cfg.federation.rounds)
-    finally:
-        dump.close()
+    live, log = _dump_live(cfg, path)
+    replayed = build_defense(cfg)
     stream = read_stream(path)
     assert [contribs[0].round for contribs in stream] == [r.round for r in log.records]
     for rec, contribs in zip(log.records, stream):
@@ -210,3 +255,22 @@ def test_live_rounds_and_their_dumped_records_get_the_same_verdicts(seed, defens
     assert replayed.revoked == live.revoked and replayed.clients == live.clients
     if defense == "stdlens":
         assert replayed.strikes == live.strikes
+
+
+@pytest.mark.parametrize("poison", ["class", "bbox", "objn"])
+def test_verdicts_hold_when_every_block_moves_by_1e_10_of_itself(poison, tmp_path):
+    # every entry times (1 + 1e-10 u), u ~ U[-1, 1]: no threshold test of a
+    # defense may sit that close to a tie on the canonical runs
+    cfg = vary(load_config(CANONICAL), seed=1)
+    cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, poison_type=poison))
+    path = tmp_path / "stream.jsonl"
+    _dump_live(cfg, path)
+    stream = read_stream(path)
+    rng = np.random.default_rng(0)
+    nudged = [[dataclasses.replace(
+        g, block=g.block * (1 + 1e-10 * rng.uniform(-1, 1, len(g.block))))
+        for g in contribs] for contribs in stream]
+    for defense in ("stdlens", "spatial", "spectral"):
+        replayed = vary(cfg, defense=defense)
+        assert (replay_stream(build_defense(replayed), nudged)
+                == replay_stream(build_defense(replayed), stream)), defense
