@@ -15,8 +15,7 @@ from pathlib import Path
 
 import click
 
-from .config import (DEFENSE_NAMES, ConfigError, ExperimentConfig, load_config,
-                     validate_config)
+from .config import DEFENSE_NAMES, ConfigError, ExperimentConfig, load_config
 from .engine import PHASES
 from .metrics import (build_defense, comparison_table, rows_to_csv, run_experiment,
                       sweep, vary)
@@ -34,7 +33,7 @@ OUT_DIR = click.Path(file_okay=False)
 def _load(config_path, seed, defense):
     try:
         cfg = load_config(config_path) if config_path else ExperimentConfig()
-        return validate_config(vary(cfg, seed=seed, defense=defense))
+        return vary(cfg, seed=seed, defense=defense)
     except (ConfigError, OSError) as exc:
         raise click.ClickException(str(exc))
 

@@ -2,7 +2,8 @@
 
 An experiment is described by a YAML file with four sections
 (federation, task, attack, defense). Unknown keys are a hard error so a
-typo can never silently fall back to a default.
+typo can never silently fall back to a default. An `ExperimentConfig` is
+checked when it is built, so no invalid one exists.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "AttackSpec",
     "DefenseConfig",
     "ExperimentConfig",
-    "validate_config",
     "load_config",
 ]
 
@@ -150,15 +150,16 @@ class DefenseConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Building one (directly, by `dataclasses.replace`, `metrics.vary` or
+    `load_config`) raises ConfigError listing every violated invariant."""
+
     federation: FederationConfig = field(default_factory=FederationConfig)
     task: TaskConfig = field(default_factory=TaskConfig)
     attack: Optional[AttackSpec] = None
     defense: DefenseConfig = field(default_factory=DefenseConfig)
 
-    def violations(self) -> list[str]:
-        v = []
-        v += self.federation.violations()
-        v += self.task.violations()
+    def __post_init__(self):
+        v = self.federation.violations() + self.task.violations()
         if self.attack is not None:
             v += self.attack.violations()
             C = self.task.num_classes
@@ -171,16 +172,8 @@ class ExperimentConfig:
                     and self.attack.poisoned_sample_count(n) < 1):
                 v.append("round(gamma*samples_per_client) must be >= 1")
         v += self.defense.violations()
-        return v
-
-
-def validate_config(config):
-    """Return the config unchanged if valid, else raise ConfigError listing
-    every violated invariant (no partial acceptance)."""
-    v = config.violations()
-    if v:
-        raise ConfigError(v)
-    return config
+        if v:
+            raise ConfigError(v)
 
 
 _SECTIONS = {"federation": FederationConfig, "task": TaskConfig,
@@ -205,7 +198,7 @@ def _build_section(cls, data, section: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a YAML experiment config."""
+    """Parse a YAML experiment config; keys and value types are checked here."""
     with open(path) as fh:
         try:
             raw = yaml.safe_load(fh) or {}
@@ -220,4 +213,4 @@ def load_config(path) -> ExperimentConfig:
                 for name, cls in _SECTIONS.items()}
     if raw.get("attack") in (None, {}):     # an empty section means no attack
         sections["attack"] = None
-    return validate_config(ExperimentConfig(**sections))
+    return ExperimentConfig(**sections)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import effective_poison_for_round, poison_payload
-from .config import ExperimentConfig, validate_config
+from .config import ExperimentConfig
 from .detection import (BatchTargets, ClientDataset, DetectorWeights, detector_grad,
                         evaluate_per_class_ap, generate_client_datasets,
                         generate_federation_data)
@@ -154,7 +154,6 @@ def run_federation(config: ExperimentConfig, defense=None, *,
     revocations leave fewer than two active clients. So the last
     RoundRecord always carries the run's final AP.
     """
-    validate_config(config)
     fed, task, attack = config.federation, config.task, config.attack
     C, d, A = task.num_classes, task.feature_dim, task.num_anchors
     seed = fed.master_seed

@@ -445,6 +445,8 @@ class WindowedDefense:
                  block_dim: Optional[int] = None):
         if block_dim is not None and block_dim < 2:
             raise ValueError("block_dim must be >= 2")
+        if window < 1:
+            raise ValueError("window must be >= 1")
         self.num_classes = num_classes
         self.window = window
         self.block_dim = block_dim
@@ -554,6 +556,8 @@ class StdLensDefense(WindowedDefense):
                  confidence: float, watchlist_threshold: int = 2,
                  normalize_blocks: bool = True, seed: int = 0,
                  block_dim: Optional[int] = None):
+        if confidence not in CONFIDENCE_TO_Z:
+            raise ValueError("confidence must be one of 0.68, 0.95, 0.99")
         super().__init__(num_classes, window, block_dim)
         self.normalize_blocks = normalize_blocks
         self.omega = omega

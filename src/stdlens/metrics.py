@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .baselines import SpatialClusterDefense, SpectralSignatureDefense
-from .config import ExperimentConfig, validate_config
+from .config import ConfigError, ExperimentConfig
 from .engine import run_federation
 from .forensics import StdLensDefense
 
@@ -93,10 +93,8 @@ def build_defense(config: ExperimentConfig, seed=None):
             watchlist_threshold=fed.watchlist_threshold)
     if d.name == "spatial":
         return SpatialClusterDefense(**shell)
-    if d.name == "spectral":
-        return SpectralSignatureDefense(
-            **shell, removal_fraction=max(fed.malicious_fraction, 0.05))
-    raise ValueError(f"unknown defense {d.name!r}")
+    return SpectralSignatureDefense(
+        **shell, removal_fraction=max(fed.malicious_fraction, 0.05))
 
 
 def run_experiment(config: ExperimentConfig, *, stream_hook=None, eval_every=1):
@@ -106,7 +104,6 @@ def run_experiment(config: ExperimentConfig, *, stream_hook=None, eval_every=1):
     client ends early and is scored on its partial log. AP is evaluated
     every `eval_every` rounds and at the run's last round, early or not.
     """
-    validate_config(config)
     weights, log = run_federation(config, build_defense(config),
                                   stream_hook=stream_hook, eval_every=eval_every)
     score = defense_metrics(log.revocation_history, log.roles)
@@ -120,21 +117,25 @@ _KNOBS = {"seed": ("federation", "master_seed"), "defense": ("defense", "name"),
 
 
 def vary(config: ExperimentConfig, **knobs) -> ExperimentConfig:
-    """`config` with the given seed/defense/m/beta/gamma/onset knobs set (None skips)."""
+    """`config` with the given seed/defense/m/beta/gamma/onset knobs set (None
+    skips), in one replace, so its ConfigError lists every bad knob."""
+    changes: dict[str, dict] = {}
     for knob, value in knobs.items():
         if value is not None:
             section, name = _KNOBS[knob]
-            config = dataclasses.replace(config, **{section: dataclasses.replace(
-                getattr(config, section), **{name: value})})
-    return config
+            if getattr(config, section) is None:
+                raise ConfigError([f"knob {knob!r} needs an [{section}] section"])
+            changes.setdefault(section, {})[name] = value
+    return dataclasses.replace(config, **{s: dataclasses.replace(getattr(config, s), **f)
+                                          for s, f in changes.items()})
 
 
 def sweep(config: ExperimentConfig, variants, seeds):
     """Run each (variant, seed) cell of a grid, variant-major; one row per run.
 
     A variant is a dict of `vary` knobs and its cell is `vary(config,
-    **variant, seed=seed)`. Every cell is validated before the first run,
-    so a bad one raises ConfigError and nothing runs. Data and poisoning
+    **variant, seed=seed)`. Every cell is built before the first run, so a
+    bad one raises ConfigError and nothing runs. Data and poisoning
     derive from the master seed alone, so cells that differ only in the
     defense see the identical attack stream. A row holds the variant,
     `seed`, `final_ap_src` and every DefenseScore field. Rows read no AP
@@ -143,7 +144,7 @@ def sweep(config: ExperimentConfig, variants, seeds):
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    cells = [(variant, seed, validate_config(vary(config, **variant, seed=seed)))
+    cells = [(variant, seed, vary(config, **variant, seed=seed))
              for variant in variants for seed in seeds]
     rows = []
     for variant, seed, cfg in cells:

@@ -6,66 +6,68 @@ import pytest
 
 from stdlens.config import (AttackSpec, ConfigError, DefenseConfig,
                             ExperimentConfig, FederationConfig, TaskConfig,
-                            load_config, validate_config)
+                            load_config)
+from stdlens.metrics import vary
 
 
 def test_default_config_is_valid():
-    cfg = ExperimentConfig()
-    assert validate_config(cfg) is cfg
+    # building is the check: the defaults, with or without an attack, build
+    assert ExperimentConfig().attack is None
+    assert ExperimentConfig(attack=AttackSpec()).attack == AttackSpec()
 
 
 def test_validation_is_idempotent():
-    cfg = ExperimentConfig()
-    assert validate_config(validate_config(cfg)) is cfg
+    cfg = ExperimentConfig(attack=AttackSpec())
+    assert dataclasses.replace(dataclasses.replace(cfg)) == cfg
 
 
 def test_too_few_participants_rejected():
     fed = FederationConfig(num_clients=10, participation_fraction=0.1)
     with pytest.raises(ConfigError, match=r"N\*k < 2"):
-        validate_config(ExperimentConfig(federation=fed))
+        ExperimentConfig(federation=fed)
 
 
 def test_malicious_majority_rejected():
     fed = FederationConfig(num_clients=10, malicious_fraction=0.5)
     with pytest.raises(ConfigError, match="m must be < 0.5"):
-        validate_config(ExperimentConfig(federation=fed))
+        ExperimentConfig(federation=fed)
 
 
 def test_fractional_malicious_count_rejected():
     fed = FederationConfig(num_clients=10, malicious_fraction=0.15)
     with pytest.raises(ConfigError, match="integer count"):
-        validate_config(ExperimentConfig(federation=fed))
+        ExperimentConfig(federation=fed)
 
 
 def test_all_violations_reported_at_once():
     fed = FederationConfig(num_clients=10, participation_fraction=0.1,
                            malicious_fraction=0.5)
     with pytest.raises(ConfigError) as exc:
-        validate_config(ExperimentConfig(federation=fed))
+        ExperimentConfig(federation=fed)
     assert len(exc.value.violations) >= 2
 
 
 def test_confidence_level_restricted():
     fed = FederationConfig(confidence_level=0.9)
     with pytest.raises(ConfigError, match="confidence_level"):
-        validate_config(ExperimentConfig(federation=fed))
+        ExperimentConfig(federation=fed)
 
 
 def test_attack_class_identity_rejected():
     atk = AttackSpec(poison_type="class", source_class=1, target_class=1)
     with pytest.raises(ConfigError, match="target_class must differ"):
-        validate_config(ExperimentConfig(attack=atk))
+        ExperimentConfig(attack=atk)
 
 
 def test_attack_source_out_of_range_rejected():
     atk = AttackSpec(source_class=7)
     with pytest.raises(ConfigError, match="source_class out of range"):
-        validate_config(ExperimentConfig(attack=atk))
+        ExperimentConfig(attack=atk)
 
 
 def test_defense_name_restricted():
     with pytest.raises(ConfigError, match="defense name"):
-        validate_config(ExperimentConfig(defense=DefenseConfig(name="magic")))
+        ExperimentConfig(defense=DefenseConfig(name="magic"))
 
 
 VIOLATIONS = [
@@ -96,10 +98,33 @@ _SECTION_TYPES = {"federation": FederationConfig, "task": TaskConfig, "attack": 
 @pytest.mark.parametrize("section, values, message", VIOLATIONS,
                          ids=[message.split()[0] for _, _, message in VIOLATIONS])
 def test_each_violation_is_reported(section, values, message):
-    cfg = dataclasses.replace(ExperimentConfig(attack=AttackSpec()),
-                              **{section: _SECTION_TYPES[section](**values)})
+    base = ExperimentConfig(attack=AttackSpec())
     with pytest.raises(ConfigError, match=message):
-        validate_config(cfg)
+        dataclasses.replace(base, **{section: _SECTION_TYPES[section](**values)})
+
+
+_BASE = ExperimentConfig(federation=FederationConfig(num_clients=20), attack=AttackSpec())
+_BAD_FED = FederationConfig(num_clients=20, malicious_fraction=0.5)
+_BAD_ATTACK = AttackSpec(beta=1.0, gamma=0.0)
+_BAD_YAML = ("federation:\n  num_clients: 20\n  malicious_fraction: 0.5\n"
+             "attack:\n  beta: 1.0\n  gamma: 0.0\n")
+BUILDERS = {
+    "constructor": lambda path: ExperimentConfig(federation=_BAD_FED, attack=_BAD_ATTACK),
+    "replace": lambda path: dataclasses.replace(_BASE, federation=_BAD_FED,
+                                                attack=_BAD_ATTACK),
+    "vary": lambda path: vary(_BASE, m=0.5, beta=1.0, gamma=0.0),
+    "load_config": load_config,
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_every_way_to_build_a_config_lists_every_violation(build, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text(_BAD_YAML)
+    with pytest.raises(ConfigError) as exc:
+        build(path)
+    assert exc.value.violations == ["m must be < 0.5", "beta must be in [0,1)",
+                                    "gamma must be in (0,1]"]
 
 
 def test_num_malicious_property():

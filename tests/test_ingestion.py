@@ -234,6 +234,21 @@ def test_a_block_length_below_2_is_refused(name):
         _make(name, 1)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: StdLensDefense(num_classes=2, window=0, omega=1, confidence=0.99), "window"),
+    (lambda: SpatialClusterDefense(num_classes=2, window=0), "window"),
+    (lambda: SpectralSignatureDefense(num_classes=2, window=0, removal_fraction=0.1),
+     "window"),
+    (lambda: StdLensDefense(num_classes=2, window=WINDOW, omega=1, confidence=0.9),
+     "confidence"),
+], ids=["stdlens-window-0", "spatial-window-0", "spectral-window-0", "confidence-0.9"])
+def test_a_parameter_that_would_crash_a_later_round_is_refused(make, message):
+    # window 0 divides by zero at the first round, and a confidence with no
+    # z value fails at the first window: both are refused when built
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 @pytest.mark.parametrize("n3, n4, want", [(3, 3, 4), (4, 2, 3)])
 def test_the_length_does_not_depend_on_record_order(n3, n4, want):
     # n3 3-entry and n4 4-entry records; the longer length wins a tie

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stdlens import metrics
-from stdlens.config import ConfigError
+from stdlens.config import ConfigError, ExperimentConfig, FederationConfig
 from stdlens.engine import run_federation
 from stdlens.metrics import (build_defense, comparison_table, defense_metrics, rows_to_csv,
                              run_experiment, sweep, vary)
@@ -96,6 +96,19 @@ def test_sweep_validates_every_cell_before_any_run(tiny_config, monkeypatch):
     with pytest.raises(ConfigError, match="defense name must be one of"):
         sweep(tiny_config, _defenses(["none", "bogus"]), [1, 2])
     assert runs == []
+
+
+def test_an_attack_knob_without_an_attack_names_the_knob(tiny_benign_config):
+    with pytest.raises(ConfigError, match=r"knob 'beta' needs an \[attack\] section"):
+        vary(tiny_benign_config, beta=0.1)
+    with pytest.raises(ConfigError, match=r"knob 'onset' needs an \[attack\] section"):
+        sweep(tiny_benign_config, [{"onset": 3}], [1])
+
+
+def test_build_defense_cannot_be_handed_an_invalid_config():
+    # at 0.9 the built StdLensDefense had no z value for its first window
+    with pytest.raises(ConfigError, match="confidence_level must be one of"):
+        build_defense(ExperimentConfig(federation=FederationConfig(confidence_level=0.9)))
 
 
 def test_sweep_rows_equal_runs_of_hand_built_configs(tiny_config):
