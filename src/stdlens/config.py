@@ -22,12 +22,21 @@ __all__ = [
     "AttackSpec",
     "DefenseConfig",
     "ExperimentConfig",
+    "confidence_z",
     "load_config",
 ]
 
 POISON_TYPES = ("class", "bbox", "objn")
 DEFENSE_NAMES = ("stdlens", "spatial", "spectral", "none")
 CONFIDENCE_TO_Z = {0.68: 1.0, 0.95: 2.0, 0.99: 3.0}
+
+
+def confidence_z(confidence: float) -> float:
+    """The z of the empirical-rule interval mean +- z*sd at `confidence`;
+    ValueError for a level outside CONFIDENCE_TO_Z."""
+    if confidence not in CONFIDENCE_TO_Z:
+        raise ValueError("confidence must be one of 0.68, 0.95, 0.99")
+    return CONFIDENCE_TO_Z[confidence]
 
 
 class ConfigError(ValueError):

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import CONFIDENCE_TO_Z
+from .config import confidence_z
 from .detection import DetectorWeights
 from .seeding import derive_seed
 
@@ -287,9 +287,7 @@ def sigma_zone_partition(values: np.ndarray, assignments: np.ndarray,
     point is off that cluster's mean. A point inside its own interval can
     never lie in the gap.
     """
-    if confidence not in CONFIDENCE_TO_Z:
-        raise ValueError("confidence must be one of 0.68, 0.95, 0.99")
-    z = CONFIDENCE_TO_Z[confidence]
+    z = confidence_z(confidence)
     values = np.asarray(values, dtype=float)
     assignments = np.asarray(assignments)
     uncertain = np.zeros(len(values), dtype=bool)
@@ -421,25 +419,29 @@ class WindowedDefense:
     """Ingestion shell shared by every windowed defense.
 
     Both hooks feed one `_ingest` of a round as columns: client ids, rounds,
-    class ids and a block matrix. `_ingest` alone admits a row; each drop
-    rule is one boolean mask: a round other than the one observed, a
-    revoked client, a class id out of range, a non-finite block, a length
-    other than `block_dim` (if unset, the first call with a row that passes
-    the masks before it fixes it), an entry above MAX_BLOCK_ENTRY in
+    class ids and a block matrix. A call is only held until its window
+    closes: `_ingest` drops a round before the open window, closes the open
+    window first on a round of a later window, and fixes `block_dim` if it
+    is unset. Every held call is judged once, in whole-window array passes,
+    when the window closes (`window_step`) or when `clients` is read. Each
+    drop rule is one boolean mask: a length other than `block_dim` (if
+    unset, the first call with a row that passes the next four masks fixes
+    it), a round other than the one observed, a revoked client, a class id
+    out of range, a non-finite block, an entry above MAX_BLOCK_ENTRY in
     magnitude after `_admit`, and a repeated (client, round, class) triple:
-    a triple that two rows of one call share is dropped in every copy, and
-    one met in an earlier call of the window is dropped.
+    the earliest call that holds a triple keeps its row only if it holds
+    one copy, and every later call's copy is dropped.
     `observe_contributions` builds a round as columns with one
     `_round_columns` call, and a round that does not build with one call
     per record, so one rule judges both. A record is kept if its ids are
     ints or numpy integers (bools excluded) within int64, so no id is
     truncated into another client's, and its block is a row of `block_dim`
     floats or, if unset, of the length that most such rows of at least 2
-    entries share, the longer on a tie. Each class buffers
-    `(ids, rounds, blocks)` chunks, and each window of `window` rounds,
-    keyed on `round // window`, goes to `_decide` as per-class arrays, none
-    of a revoked client; it returns (clients to revoke, watchlist events).
-    No client is revoked twice."""
+    entries share, the longer on a tie. Each window of `window` rounds,
+    keyed on `round // window`, goes to `_decide` as per-class arrays in
+    call order, none of a revoked client; it returns (clients to revoke,
+    watchlist events). No client is revoked twice. `clients` holds every
+    client with an admitted row, so far."""
 
     def __init__(self, num_classes: int, window: int,
                  block_dim: Optional[int] = None):
@@ -451,10 +453,17 @@ class WindowedDefense:
         self.window = window
         self.block_dim = block_dim
         self.revoked: set[int] = set()
-        self._chunks: dict[int, list[tuple]] = {c: [] for c in range(num_classes)}
+        self._pending: list[tuple] = []    # (round, ids, rounds, class ids, blocks) per call
+        self._judged: list[tuple] = []     # (ids, rounds, class ids, blocks) admitted rows
         self._seen: set[tuple] = set()     # (client, round, class) triples met
         self._open = 0                     # index of the open window
-        self.clients: set[int] = set()     # clients with an admitted contribution
+        self._clients: set[int] = set()
+
+    @property
+    def clients(self) -> set[int]:
+        """Clients with an admitted contribution, the held calls judged."""
+        self._judge()
+        return self._clients
 
     def observe_round(self, round_idx: int, client_ids, deltas: DetectorWeights
                       ) -> tuple[list[int], list[int]]:
@@ -483,53 +492,86 @@ class WindowedDefense:
 
     def _ingest(self, round_idx: int, ids: np.ndarray, rounds: np.ndarray,
                 class_ids: np.ndarray, blocks: np.ndarray) -> tuple[list[int], list[int]]:
-        """Admit one round's rows. A round before the open window is
-        dropped, and a round of a later window first closes the open one."""
+        """Hold one round's call until its window closes. A round before the
+        open window is dropped, and a round of a later window first closes
+        the open one."""
         index = round_idx // self.window
         if index < self._open:
             return [], []
         verdicts = self.window_step() if index > self._open else ([], [])
         self._open = index
-        revoked = np.fromiter(map(self.revoked.__contains__, ids.tolist()), bool, len(ids))
-        keep = ((rounds == round_idx) & ~revoked
-                & (class_ids >= 0) & (class_ids < self.num_classes)
-                & np.isfinite(blocks).all(axis=1))
-        if self.block_dim is None and keep.any():
+        if self.block_dim is None and self._passes(
+                rounds == round_idx, ids, class_ids, blocks).any():
             self.block_dim = blocks.shape[1]
-        rows = np.flatnonzero(keep & (blocks.shape[1] == self.block_dim))
-        admitted = self._admit(blocks[rows])
-        fits = np.abs(admitted).max(axis=1, initial=0.0) <= MAX_BLOCK_ENTRY
-        rows, admitted = rows[fits], admitted[fits]
-        # a triple met twice in this call is dropped in every copy, so a
-        # copy cannot frame the client it names; one met in an earlier call
-        # of the window stays dropped. A call without either, as every live
-        # round is, skips the count.
-        triples = list(zip(ids[rows].tolist(), rounds[rows].tolist(), class_ids[rows].tolist()))
-        met, seen = set(triples), self._seen
-        if len(met) < len(triples) or not met.isdisjoint(seen):
-            count = Counter(triples)
-            once = np.array([count[p] == 1 and p not in seen for p in triples], dtype=bool)
-            rows, admitted = rows[once], admitted[once]
-        seen |= met
-        ids, rounds, class_ids = ids[rows], rounds[rows], class_ids[rows]
-        for c in np.unique(class_ids).tolist():
-            mine = class_ids == c
-            self._chunks[c].append((ids[mine], rounds[mine], admitted[mine]))
-        self.clients.update(ids.tolist())
+        self._pending.append((round_idx, ids, rounds, class_ids, blocks))
         if round_idx % self.window == self.window - 1:   # the window's last round
             revocations, watchlist_events = self.window_step()
             self._open = index + 1
             verdicts = (verdicts[0] + revocations, verdicts[1] + watchlist_events)
         return verdicts
 
+    def _passes(self, on_round: np.ndarray, ids: np.ndarray, class_ids: np.ndarray,
+                blocks: np.ndarray) -> np.ndarray:
+        """The rows on their call's round, of an unrevoked client and a
+        class in range, with finite blocks."""
+        revoked = np.fromiter(map(self.revoked.__contains__, ids.tolist()), bool, len(ids))
+        return (on_round & ~revoked & (class_ids >= 0) & (class_ids < self.num_classes)
+                & np.isfinite(blocks).all(axis=1))
+
+    def _judge(self) -> None:
+        """Admit the held calls' rows in one pass, in call order."""
+        calls = [p for p in self._pending if p[4].shape[1] == self.block_dim]
+        self._pending = []
+        if not calls:
+            return
+        on_round = np.concatenate([rounds == k for k, _, rounds, _, _ in calls])
+        call = np.repeat(np.arange(len(calls)), [len(p[1]) for p in calls])
+        ids, rounds, class_ids, blocks = (np.concatenate(c) for c in list(zip(*calls))[1:])
+        del calls                          # no call's blocks outlive the concatenation
+        keep = self._passes(on_round, ids, class_ids, blocks)
+        if not keep.all():
+            ids, rounds, class_ids, blocks, call = (
+                a[keep] for a in (ids, rounds, class_ids, blocks, call))
+        blocks = self._admit(blocks)
+        fits = np.abs(blocks).max(axis=1, initial=0.0) <= MAX_BLOCK_ENTRY
+        if not fits.all():
+            ids, rounds, class_ids, blocks, call = (
+                a[fits] for a in (ids, rounds, class_ids, blocks, call))
+        triples = list(zip(ids.tolist(), rounds.tolist(), class_ids.tolist()))
+        met, seen = set(triples), self._seen
+        if len(met) < len(triples) or not met.isdisjoint(seen):
+            # a triple's earliest call keeps its row only if it holds one
+            # copy, so a copy cannot frame the client it names; every later
+            # call's copy is dropped. A window without repeats, as every
+            # live one is, skips this pass.
+            owner, copies = {}, {}
+            for t, k in zip(triples, call.tolist()):
+                if owner.setdefault(t, k) == k:
+                    copies[t] = copies.get(t, 0) + 1
+            once = np.fromiter((owner[t] == k and copies[t] == 1 and t not in seen
+                                for t, k in zip(triples, call.tolist())), bool, len(triples))
+            ids, rounds, class_ids, blocks = (a[once] for a in (ids, rounds, class_ids, blocks))
+        seen |= met
+        self._clients.update(ids.tolist())
+        self._judged.append((ids, rounds, class_ids, blocks))
+
     def window_step(self) -> tuple[list[int], list[int]]:
-        """Close the window: decide on the buffered rows, each class as one
-        (client ids, rounds, blocks) triple of arrays."""
-        chunks = self._chunks
-        self._chunks = {c: [] for c in range(self.num_classes)}
-        self._seen = set()
-        window = {c: tuple(np.concatenate(column) for column in zip(*parts))
-                  for c, parts in chunks.items() if parts}
+        """Close the window: judge the held calls, and decide on the
+        admitted rows, each class as one (client ids, rounds, blocks) triple
+        of arrays."""
+        self._judge()
+        judged, self._judged, self._seen = self._judged, [], set()
+        window = {}
+        if judged:
+            ids, rounds, class_ids, blocks = (judged[0] if len(judged) == 1
+                                              else map(np.concatenate, zip(*judged)))
+            del judged
+            if (class_ids[1:] < class_ids[:-1]).any():
+                order = np.argsort(class_ids, kind="stable")
+                ids, rounds, class_ids, blocks = (a[order] for a in (ids, rounds, class_ids, blocks))
+            ends = np.cumsum(np.bincount(class_ids, minlength=self.num_classes)).tolist()
+            window = {c: (ids[s:e], rounds[s:e], blocks[s:e])
+                      for c, (s, e) in enumerate(zip([0] + ends, ends)) if e > s}
         revocations, watchlist_events = self._decide(window)
         revocations = sorted(set(revocations) - self.revoked)
         self.revoked.update(revocations)
@@ -556,8 +598,7 @@ class StdLensDefense(WindowedDefense):
                  confidence: float, watchlist_threshold: int = 2,
                  normalize_blocks: bool = True, seed: int = 0,
                  block_dim: Optional[int] = None):
-        if confidence not in CONFIDENCE_TO_Z:
-            raise ValueError("confidence must be one of 0.68, 0.95, 0.99")
+        self.z = confidence_z(confidence)
         super().__init__(num_classes, window, block_dim)
         self.normalize_blocks = normalize_blocks
         self.omega = omega
@@ -618,7 +659,6 @@ class StdLensDefense(WindowedDefense):
         client first; only the rest take the exact per-client test.
         """
         watched = list(self.strikes)
-        z = CONFIDENCE_TO_Z[self.confidence]
         matches: set[int] = set()
         for c, (ids, _, blocks) in classes.items():
             exemplars = self._exemplars.get(c)
@@ -627,7 +667,7 @@ class StdLensDefense(WindowedDefense):
             on_list = np.isin(ids, watched)
             for cid in _exemplar_candidates(ids, blocks, on_list, exemplars, 0.75):
                 mine = ids == cid
-                center, radius = _population_radius(blocks[~mine & ~on_list], z)
+                center, radius = _population_radius(blocks[~mine & ~on_list], self.z)
                 pts = blocks[mine]
                 outside = np.linalg.norm(pts - center, axis=1) > radius
                 if (outside & _near_exemplar(pts, exemplars, center, 0.75)).all():
@@ -657,12 +697,11 @@ class StdLensDefense(WindowedDefense):
     def _record_exemplars(self, classes, revoked) -> None:
         """Archive the mean block direction of each freshly revoked client
         for the classes where it actually stood apart from the population."""
-        z = CONFIDENCE_TO_Z[self.confidence]
         for c, (ids, _, blocks) in classes.items():
             rest = blocks[~np.isin(ids, revoked)]
             if len(rest) < 3:
                 continue
-            center, radius = _population_radius(rest, z)
+            center, radius = _population_radius(rest, self.z)
             for cid in revoked:
                 pts = blocks[ids == cid]
                 if not len(pts):

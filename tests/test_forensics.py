@@ -425,10 +425,19 @@ def test_unit_norm_finite_norm_blocks_take_the_plain_path():
     assert unit_norm(np.empty((0, 4))).shape == (0, 4)
 
 
+class _CapturingStdLens(StdLensDefense):
+    """StdLensDefense that keeps the last window its _decide receives."""
+
+    def _decide(self, classes):
+        self.decided = classes
+        return super()._decide(classes)
+
+
 def test_defense_admits_an_overflowing_block_as_a_unit_vector():
-    defense = StdLensDefense(num_classes=1, window=10, omega=1, confidence=0.99)
+    defense = _CapturingStdLens(num_classes=1, window=10, omega=1, confidence=0.99)
     defense.observe_contributions(0, [GradientContribution(5, 0, 0, np.full(6, 1e200))])
-    ((ids, _, blocks),) = defense._chunks[0]
+    defense.window_step()
+    ((ids, _, blocks),) = defense.decided.values()
     assert ids.tolist() == [5]
     assert np.linalg.norm(blocks[0]) == pytest.approx(1.0)
 

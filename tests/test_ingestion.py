@@ -3,8 +3,10 @@ malformed (non-integer ids and non-numeric blocks included), repeated,
 misdated or revoked-client records yields the verdicts (and, for stdlens,
 the watchlist strikes) of the same stream without them, and without the
 records that a repeat copies. No window that stdlens decides holds a
-revoked client."""
+revoked client. Judging a window's calls when it closes keeps the rules
+that judged each call on its own."""
 
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from stdlens import metrics
 from stdlens.baselines import SpatialClusterDefense, SpectralSignatureDefense
 from stdlens.config import load_config
-from stdlens.forensics import GradientContribution, StdLensDefense
+from stdlens.forensics import MAX_BLOCK_ENTRY, GradientContribution, StdLensDefense
 from stdlens.robust import random_premise_mixture, synth_two_population_stream
 from stdlens.seeding import make_rng
 
@@ -26,7 +28,20 @@ ROUNDS = 15
 ATTACKER = 99
 
 
-class _CheckedStdLens(StdLensDefense):
+class _Recording:
+    """Mixed in before a defense: keeps every window its _decide receives,
+    in order, in `windows`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.windows = []
+
+    def _decide(self, classes):
+        self.windows.append(classes)
+        return super()._decide(classes)
+
+
+class _CheckedStdLens(_Recording, StdLensDefense):
     """StdLensDefense that asserts that no window it decides holds a revoked
     client, the invariant that lets _decide skip revoked-client checks."""
 
@@ -35,17 +50,36 @@ class _CheckedStdLens(StdLensDefense):
         return super()._decide(classes)
 
 
-def _make(name: str, dim: int):
-    if name == "stdlens":
-        return _CheckedStdLens(num_classes=2, window=WINDOW, omega=1, confidence=0.99,
-                               block_dim=dim)
-    if name == "stdlens-raw":
-        return _CheckedStdLens(num_classes=2, window=WINDOW, omega=1, confidence=0.99,
-                               normalize_blocks=False, block_dim=dim)
-    if name == "spatial":
-        return SpatialClusterDefense(num_classes=2, window=WINDOW, block_dim=dim)
-    return SpectralSignatureDefense(num_classes=2, window=WINDOW, removal_fraction=0.1,
-                                    block_dim=dim)
+class _RecordingSpatial(_Recording, SpatialClusterDefense):
+    pass
+
+
+class _RecordingSpectral(_Recording, SpectralSignatureDefense):
+    pass
+
+
+def _make(name: str, dim, shell=()):
+    """A defense of `name` over 2 classes; the mixins in `shell` go before
+    its class."""
+    cls, kwargs = {
+        "stdlens": (_CheckedStdLens, dict(omega=1, confidence=0.99)),
+        "stdlens-raw": (_CheckedStdLens, dict(omega=1, confidence=0.99,
+                                              normalize_blocks=False)),
+        "spatial": (_RecordingSpatial, {}),
+        "spectral": (_RecordingSpectral, dict(removal_fraction=0.1)),
+    }[name]
+    if shell:
+        cls = type(cls.__name__, (*shell, cls), {})
+    return cls(num_classes=2, window=WINDOW, block_dim=dim, **kwargs)
+
+
+def _same_windows(got: list, want: list) -> bool:
+    """Equal lists of decided windows: the same classes, and per class the
+    same (ids, rounds, blocks) in dtype and bits."""
+    return len(got) == len(want) and all(
+        list(g) == list(w) and all(x.dtype == y.dtype and np.array_equal(x, y)
+                                   for c in g for x, y in zip(g[c], w[c], strict=True))
+        for g, w in zip(got, want))
 
 
 def _honest_stream(seed: int, n_honest: int, dim: int):
@@ -316,12 +350,14 @@ def test_a_live_window_never_holds_a_revoked_client(monkeypatch):
 def test_a_non_integer_client_id_takes_no_client_slot(bad):
     # int64 truncation would turn each of these ids into honest client 1
     def round0(hostile):
-        defense = StdLensDefense(num_classes=1, window=2, omega=1, confidence=0.99,
-                                 block_dim=4)
+        defense = _CheckedStdLens(num_classes=1, window=2, omega=1, confidence=0.99,
+                                  block_dim=4)
         rng = np.random.default_rng(0)
         defense.observe_contributions(0, hostile + [
             GradientContribution(c, 0, 0, rng.standard_normal(4)) for c in range(5)])
-        return defense._chunks[0]
+        defense.window_step()
+        (window,) = defense.windows
+        return window.values()
 
     ((ids, _, blocks),) = round0([GradientContribution(bad, 0, 0, np.full(4, 6.0))])
     ((want_ids, _, want_blocks),) = round0([])
@@ -362,9 +398,127 @@ def test_an_odd_round_keeps_what_the_record_rules_keep(kind):
     clean, dirty = _make("stdlens", 5), _make("stdlens", 5)
     for r, (got, want) in enumerate(zip(every_third_round(odd), every_third_round(kept))):
         assert dirty.observe_contributions(r, got) == clean.observe_contributions(r, want)
-        for c in range(2):
-            for chunk, want_chunk in zip(dirty._chunks[c], clean._chunks[c], strict=True):
-                for x, y in zip(chunk, want_chunk, strict=True):
-                    assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert _same_windows(dirty.windows, clean.windows)
     assert (dirty.revoked, dirty.clients, dirty.strikes) == (
         clean.revoked, clean.clients, clean.strikes)
+
+
+class _PerCallIngest:
+    """The reference for the window-close judge. Mixed in before a defense,
+    it judges each call on its own, as the shell did before it held calls
+    until their window closed: the masks, `_admit`, the entry bound, then
+    the triples of the call counted against those met earlier in the
+    window, and the kept rows buffered per class as one chunk per call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.chunks = {c: [] for c in range(self.num_classes)}
+        self.met, self.open_window, self.admitted = set(), 0, set()
+
+    @property
+    def clients(self):
+        return self.admitted
+
+    def _ingest(self, round_idx, ids, rounds, class_ids, blocks):
+        index = round_idx // self.window
+        if index < self.open_window:
+            return [], []
+        verdicts = self.window_step() if index > self.open_window else ([], [])
+        self.open_window = index
+        revoked = np.array([cid in self.revoked for cid in ids.tolist()], dtype=bool)
+        keep = ((rounds == round_idx) & ~revoked
+                & (class_ids >= 0) & (class_ids < self.num_classes)
+                & np.isfinite(blocks).all(axis=1))
+        if self.block_dim is None and keep.any():
+            self.block_dim = blocks.shape[1]
+        rows = np.flatnonzero(keep & (blocks.shape[1] == self.block_dim))
+        admitted = self._admit(blocks[rows])
+        fits = np.abs(admitted).max(axis=1, initial=0.0) <= MAX_BLOCK_ENTRY
+        rows, admitted = rows[fits], admitted[fits]
+        triples = list(zip(ids[rows].tolist(), rounds[rows].tolist(),
+                           class_ids[rows].tolist()))
+        count = Counter(triples)
+        once = np.array([count[t] == 1 and t not in self.met for t in triples], dtype=bool)
+        self.met |= set(triples)
+        rows, admitted = rows[once], admitted[once]
+        for c in range(self.num_classes):
+            mine = class_ids[rows] == c
+            if mine.any():
+                self.chunks[c].append((ids[rows][mine], rounds[rows][mine], admitted[mine]))
+        self.admitted.update(ids[rows].tolist())
+        if round_idx % self.window == self.window - 1:
+            revocations, events = self.window_step()
+            self.open_window = index + 1
+            verdicts = (verdicts[0] + revocations, verdicts[1] + events)
+        return verdicts
+
+    def window_step(self):
+        chunks, self.chunks = self.chunks, {c: [] for c in range(self.num_classes)}
+        self.met = set()
+        window = {c: tuple(map(np.concatenate, zip(*parts)))
+                  for c, parts in chunks.items() if parts}
+        revocations, events = self._decide(window)
+        revocations = sorted(set(revocations) - self.revoked)
+        self.revoked.update(revocations)
+        return revocations, events
+
+
+def _call_mix(seed: int, dim: int) -> list:
+    """Seeded (round, records) calls: honest rounds with hostile records
+    (_hostile's kinds) mixed in, a round split over two calls that repeat
+    some triples, stale rounds, at most one round of a later window, calls
+    of other lengths that come before any row has fixed the length, and an
+    end that may fall inside a window."""
+    rng = np.random.default_rng(seed)
+    stream = _honest_stream(seed, int(rng.integers(8, 12)), dim)
+    revoked_by = {ATTACKER: -1}
+    calls = []
+    if rng.random() < 0.5:       # no row of these passes the masks
+        calls += [(0, [GradientContribution(cid, 0, 0, np.full(dim - 1, np.nan))
+                       for cid in range(3)]),
+                  (0, [GradientContribution(cid, 1, 0, np.ones(dim + 1)) for cid in range(3)])]
+    if rng.random() < 0.25:      # a valid short call fixes an unset length
+        calls.append((0, [GradientContribution(cid, 0, 1, rng.standard_normal(dim - 1))
+                          for cid in range(100, 103)]))
+    leap = int(rng.integers(0, 2 * ROUNDS))
+    for r in range(int(rng.integers(ROUNDS - WINDOW + 1, ROUNDS + 1))):
+        records = list(stream[r])
+        for _ in range(int(rng.integers(0, 4))):
+            g = _hostile(KINDS[int(rng.integers(len(KINDS)))],
+                         records[int(rng.integers(len(stream[r])))],
+                         int(rng.integers(2)), dim, revoked_by)
+            if g is not None:
+                records.insert(int(rng.integers(len(records) + 1)), g)
+        if rng.random() < 0.3:   # one round over two calls; some triples in both
+            cut = int(rng.integers(len(records) + 1))
+            again = [records[int(i)] for i in rng.integers(0, len(records), 2)]
+            calls += [(r, records[:cut]), (r, records[cut:] + again)]
+        else:
+            calls.append((r, records))
+        if r >= WINDOW and rng.random() < 0.2:
+            stale = r - WINDOW - int(rng.integers(0, 2))
+            calls.append((stale, stream[stale]))
+        if r == leap and r + WINDOW < ROUNDS:
+            calls.append((r + WINDOW, stream[r + WINDOW]))
+    return calls
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["block-dim", "no-block-dim"])
+@pytest.mark.parametrize("name", ["stdlens", "stdlens-raw", "spatial", "spectral"])
+@pytest.mark.parametrize("seed", range(8))
+def test_judging_at_the_window_close_keeps_the_per_call_rules(seed, name, fixed):
+    dim = 4 + seed % 3
+    want = _make(name, dim if fixed else None, shell=(_PerCallIngest,))
+    # one shell is read after every call, so it judges call by call; the
+    # other is read only at the end, so it judges each window at its close
+    eager, lazy = _make(name, dim if fixed else None), _make(name, dim if fixed else None)
+    for r, records in _call_mix(seed, dim):
+        verdicts = want.observe_contributions(r, records)
+        assert eager.observe_contributions(r, records) == verdicts
+        assert lazy.observe_contributions(r, records) == verdicts
+        assert eager.clients == want.clients
+        assert eager.block_dim == lazy.block_dim == want.block_dim
+        assert _same_windows(eager.windows, want.windows)
+        assert _same_windows(lazy.windows, want.windows)
+    assert lazy.clients == eager.clients == want.clients
+    assert lazy.revoked == eager.revoked == want.revoked
